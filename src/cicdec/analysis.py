@@ -66,7 +66,9 @@ def magnitude(config: CicConfig, f: float) -> float:
 
     The removable singularity at f=0 evaluates to 1.  The numerator argument
     is reduced modulo 1 so that response nulls at multiples of 1/D come out
-    as exact zeros whenever D*f lands on a representable integer.
+    as exact zeros whenever D*f is an integer.  Near a null the float
+    product D*f, off by up to D*f*2**-53, would swamp the small residual,
+    so there the residual is recomputed exactly from f's binary fraction.
     """
     if not 0.0 <= f <= 0.5:
         raise DomainError(f"frequency {f} outside [0, 0.5]")
@@ -76,6 +78,9 @@ def magnitude(config: CicConfig, f: float) -> float:
     u = d * f
     nearest = round(u)
     frac = u - nearest
+    if abs(frac) < u * 2.0**-16:
+        p, q = f.as_integer_ratio()
+        frac = (d * p - nearest * q) / q  # exact integers, one rounding
     if frac == 0.0:
         return 0.0
     num = abs(math.sin(math.pi * frac))

@@ -11,9 +11,12 @@ error, 2 file/parse/range error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import contextmanager
 from decimal import Decimal, ROUND_HALF_UP
+
+import numpy as np
 
 from .core import (
     CicConfig,
@@ -34,6 +37,14 @@ from .analysis import (
 from .compensator import design_compensator, passband_deviation_db
 from .chip import ChipModel, PinInputs, ProtocolError, run_trace
 from .sdm import OUTPUT_BITS, SigmaDeltaModulator
+
+
+#: Characters `decimate` reads at a time, rounded up to the next line end, so
+#: the input is never held in memory whole.
+_CHUNK_CHARS = 1 << 20
+
+# A comment line with the newline before it (see `_parse_chunk`).
+_COMMENT_LINE = re.compile(r"\n#[^\n]*")
 
 
 class DataError(Exception):
@@ -61,10 +72,14 @@ def _round_away(x: float, places: int = 2) -> Decimal:
     return Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP)
 
 
-def _read_samples(fh, bits: int) -> list[int]:
+def _read_samples(lines, bits: int, first_line: int = 1) -> list[int]:
+    """Parse sample lines one at a time; numbering starts at `first_line`.
+
+    The reference parser, and the only source of sample-file DataErrors.
+    """
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     samples = []
-    for line_no, raw in enumerate(fh, start=1):
+    for line_no, raw in enumerate(lines, start=first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -79,6 +94,53 @@ def _read_samples(fh, bits: int) -> list[int]:
             )
         samples.append(value)
     return samples
+
+
+def _parse_chunk(text: str, bits: int) -> np.ndarray | None:
+    """Parse a chunk of whole lines in one pass, or return None.
+
+    Takes only ``#`` comment lines and lines of an optional ``-`` followed
+    by 1 to 18 ASCII digits, all in range; for anything else it returns
+    None and the caller hands the chunk to `_read_samples`.
+    """
+    if "#" in text:
+        text = _COMMENT_LINE.sub("", "\n" + text)[1:]
+    if not text:
+        return np.zeros(0, dtype=np.int64)
+    if not text.isascii():
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    a = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(a == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    neg = a[starts] == ord("-")
+    digits = ends - starts - neg
+    n_digit_bytes = np.count_nonzero(a - ord("0") < 10)  # uint8: wraps below "0"
+    if (n_digit_bytes + ends.size + np.count_nonzero(neg) != a.size
+            or digits.min() < 1 or digits.max() > 18):
+        return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    if int(values.min()) < lo or int(values.max()) > hi:
+        return None
+    return values
+
+
+def _sample_chunks(fh, bits: int):
+    """Yield the samples of `fh` chunk by chunk, each chunk whole lines."""
+    line_no = 1
+    while text := fh.read(_CHUNK_CHARS):
+        if not text.endswith("\n"):
+            text += fh.readline()
+        values = _parse_chunk(text, bits)
+        if values is None:
+            lines = text.split("\n")  # the lines iterating `fh` would give
+            if not lines[-1]:
+                lines.pop()
+            values = _read_samples(lines, bits, first_line=line_no)
+        yield values
+        line_no += text.count("\n")
 
 
 def _parse_trace(fh) -> list[PinInputs]:
@@ -142,13 +204,14 @@ def _add_io_flags(p: _Parser, infile: bool = True) -> None:
 
 def _cmd_decimate(args) -> int:
     config = _config_from(args)
-    with _open_text(args.infile, "r") as fh:
-        samples = _read_samples(fh, config.input_bits)
     state = DecimatorState(config)
-    outputs = state.process_block(samples)
+    outputs = []
+    with _open_text(args.infile, "r") as fh:
+        for samples in _sample_chunks(fh, config.input_bits):
+            outputs += state.process_block(samples)
+    # written only once the whole input has parsed, so an error leaves no output
     with _open_text(args.outfile, "w") as fh:
-        for y in outputs:
-            fh.write(f"{y}\n")
+        fh.writelines(f"{y}\n" for y in outputs)
     print(
         f"samples_in={state.samples_in} samples_out={state.samples_out} "
         f"width={state.width} gain={gain(config)}",

@@ -14,6 +14,8 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """A filter parameter is out of its allowed range."""
@@ -119,12 +121,19 @@ class RegisterWord:
         return RegisterWord(self.width, self.value - rhs)
 
 
+def _is_sample_type(t: type) -> bool:
+    """Samples are Python or numpy integers; bool is not a sample."""
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+
+
 class DecimatorState:
     """Live state of a streaming Hogenauer decimator.
 
     One instance owns its accumulators and comb delay lines; feed it from a
     single thread.  `push` consumes one input sample and returns an output
-    sample on every R-th call, None otherwise.
+    sample on every R-th call, None otherwise; `process_block` consumes a
+    whole block at once.  Both share the same state, so calls to them may be
+    interleaved freely.
     """
 
     def __init__(self, config: CicConfig, width: int | None = None):
@@ -142,6 +151,10 @@ class DecimatorState:
         self.width = width
         self._in_min = -(1 << (config.input_bits - 1))
         self._in_max = (1 << (config.input_bits - 1)) - 1
+        # Block arithmetic runs in int64 while W fits it (wrapping mod 2**64
+        # and then to W bits is the same as wrapping to W bits), and on
+        # Python ints in object arrays above that.
+        self._dtype = np.int64 if width <= 64 else object
         self.reset()
 
     def reset(self) -> None:
@@ -153,13 +166,24 @@ class DecimatorState:
         self.samples_in = 0
         self.samples_out = 0
 
+    def _range_error(self, x: int) -> InputRangeError:
+        return InputRangeError(
+            f"sample {x} outside signed {self.config.input_bits}-bit range "
+            f"[{self._in_min}, {self._in_max}]"
+        )
+
     def push(self, x: int) -> int | None:
-        """Consume one input sample; return an output on every R-th push."""
+        """Consume one input sample; return an output on every R-th push.
+
+        `x` is a Python or numpy integer within the signed B-bit input range;
+        anything else raises InputRangeError and leaves the state unchanged.
+        """
+        if type(x) is not int:
+            if not _is_sample_type(type(x)):
+                raise InputRangeError(f"sample {x!r} is not an integer")
+            x = int(x)
         if not self._in_min <= x <= self._in_max:
-            raise InputRangeError(
-                f"sample {x} outside signed {self.config.input_bits}-bit range "
-                f"[{self._in_min}, {self._in_max}]"
-            )
+            raise self._range_error(x)
         width = self.width
         acc = self._integrators
         v = x
@@ -181,13 +205,79 @@ class DecimatorState:
         return v
 
     def process_block(self, samples) -> list[int]:
-        """Push every sample of `samples`; return the outputs emitted."""
-        out = []
-        for x in samples:
-            y = self.push(x)
-            if y is not None:
-                out.append(y)
-        return out
+        """Consume every sample of `samples`; return the outputs emitted.
+
+        `samples` is a sequence of Python or numpy integers, or a 1-D numpy
+        array of any integer dtype (int8 to int64, uint8 to uint64).  The
+        whole block is checked against the signed B-bit input range before
+        any state changes, so a bad sample anywhere raises InputRangeError
+        and leaves the state as it was.  The result is the same as pushing
+        the samples one by one, computed on whole arrays: N running sums, a
+        1-of-R slice and N lag-M differences, each wrapped to W bits.
+        """
+        x = self._block_array(samples)
+        if not len(x):
+            return []
+        acc = self._integrators
+        v = x
+        for i in range(len(acc)):
+            v = np.cumsum(v)
+            v += acc[i]
+            self._wrap_array(v)
+            acc[i] = int(v[-1])
+
+        r, m = self.config.rate, self.config.diff_delay
+        v = v[r - 1 - self.phase :: r]
+        self.phase = (self.phase + len(x)) % r
+        for line in self._combs:
+            history = np.array(line, dtype=self._dtype)[::-1]  # oldest first
+            ext = np.concatenate((history, v))
+            line.extendleft(ext[-m:].tolist())
+            v = self._wrap_array(ext[m:] - ext[:-m])
+        self.samples_in += len(x)
+        self.samples_out += len(v)
+        return v.tolist()
+
+    def _block_array(self, samples) -> np.ndarray:
+        """Check a whole block; return it as a 1-D array of the block dtype."""
+        if isinstance(samples, np.ndarray) and samples.dtype.kind in "iu":
+            if samples.ndim != 1:
+                raise InputRangeError(f"a block must be 1-D, got shape {samples.shape}")
+            values = samples
+            # min/max in the array's own dtype, compared as Python ints:
+            # exact for every dtype, so uint64 2**64-1 is out of range, not -1.
+            lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+        elif isinstance(samples, np.ndarray) and samples.dtype != object:
+            raise InputRangeError(f"samples of dtype {samples.dtype} are not integers")
+        else:
+            values = list(samples)
+            types = set(map(type, values))
+            for t in types:
+                if not _is_sample_type(t):
+                    bad = next(x for x in values if type(x) is t)
+                    raise InputRangeError(f"sample {bad!r} is not an integer")
+            if types != {int}:
+                values = list(map(int, values))
+            lo, hi = (min(values), max(values)) if values else (0, 0)
+        if lo < self._in_min or hi > self._in_max:
+            first_bad = next(int(x) for x in values
+                             if not self._in_min <= int(x) <= self._in_max)
+            raise self._range_error(first_bad)
+        return np.asarray(values, dtype=self._dtype)
+
+    def _wrap_array(self, v: np.ndarray) -> np.ndarray:
+        """Wrap `v` in place into W-bit two's complement; return it."""
+        if v.dtype == object:
+            half = 1 << (self.width - 1)
+            v += half
+            v &= (1 << self.width) - 1
+            v -= half
+        elif self.width < 64:
+            shift = 64 - self.width
+            u = v.view(np.uint64)  # shift left unsigned, then sign-extend back
+            u <<= shift
+            v >>= shift
+        return v
 
 
 def boxcar_power(length: int, order: int) -> list[int]:

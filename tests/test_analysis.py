@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cicdec import (
     CicConfig,
@@ -93,6 +93,8 @@ def test_nulls_evaluate_to_zero_at_machine_precision():
     st.integers(1, 2),
     st.floats(0.0, 0.5, allow_nan=False),
 )
+@example(n=1, r=3, m=2, f=0.49999999999999994)  # float D*f residual 2.3e-16, exact 1.7e-16
+@example(n=1, r=5, m=2, f=0.1)  # float D*f rounds onto the null, exact is 5.6e-17 off it
 def test_magnitude_matches_tap_polynomial(n, r, m, f):
     """Closed form against the 30-digit Horner evaluation of the actual taps."""
     cfg = quiet_config(n, r, m)

@@ -1,11 +1,14 @@
 """End-to-end CLI tests driving `main` with real files and captured stdio."""
 
+import contextlib
 import io
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from cicdec import CicConfig, gain, reference_decimate
-from cicdec.cli import main
+from cicdec import CicConfig, cli, gain, reference_decimate
+from cicdec.cli import DataError, _read_samples, main
 from helpers import quiet_config
 
 
@@ -98,6 +101,82 @@ def test_decimate_missing_file_is_a_data_error(tmp_path, capsys):
         capsys, "decimate", "-N", "2", "-R", "4", "--in", str(tmp_path / "nope.txt"),
     )
     assert code == 2
+
+
+def test_plain_sample_files_skip_the_line_parser(tmp_path, capsys, monkeypatch):
+    samples = list(range(-128, 128)) * 3
+    infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+    write_samples(infile, samples, header="# ramp")
+    monkeypatch.setattr(cli, "_CHUNK_CHARS", 64)
+    monkeypatch.setattr(cli, "_read_samples", mock.Mock(side_effect=AssertionError))
+    code, _, _ = run_cli(
+        capsys, "decimate", "-N", "3", "-R", "5", "-B", "8",
+        "--in", str(infile), "--out", str(outfile),
+    )
+    assert code == 0
+    expected = reference_decimate(CicConfig(3, 5, 1, 8), samples)
+    assert outfile.read_text() == "".join(f"{v}\n" for v in expected)
+
+
+def test_decimate_error_in_second_chunk_reports_absolute_line(tmp_path, capsys):
+    # one chunk of the default size holds _CHUNK_CHARS // 2 lines of "0"
+    first_chunk = cli._CHUNK_CHARS // 2
+    bad_line = first_chunk + 37
+    infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+    infile.write_text("0\n" * (bad_line - 1) + "0x10\n" + "0\n" * 5)
+    code, out, err = run_cli(
+        capsys, "decimate", "-N", "2", "-R", "4", "-B", "8",
+        "--in", str(infile), "--out", str(outfile),
+    )
+    assert code == 2
+    assert f"cicdec: error: line {bad_line}: not an integer: '0x10'" in err
+    assert not outfile.exists()  # nothing is written before the input has parsed
+
+
+# Lines the reference parser accepts, skips or rejects; for -B 8 the integers
+# run past both ends of the range, for -B 70 past int64.
+SAMPLE_LINES = st.one_of(
+    st.integers(-300, 300).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from([
+        "", "   ", "# comment", "#", "  # indented comment", " 7 ", "\t-8", "+5", "-0",
+        "007", "1_000", "0x10", "1 2", "5 # note", "-", "--3", "5-", "1.0", "x",
+        "\u0661\u0662", "\u00a0", "12345678901234567890123",
+    ]),
+)
+
+
+def reference_run(text, bits, cfg):
+    """Exit code, stdout and error line of the line-by-line parser path."""
+    try:
+        samples = _read_samples(io.StringIO(text), bits)
+    except DataError as exc:
+        return 2, "", f"cicdec: error: {exc}"
+    return 0, "".join(f"{y}\n" for y in reference_decimate(cfg, samples)), None
+
+
+@given(
+    lines=st.lists(SAMPLE_LINES, max_size=40),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+    bits=st.sampled_from([1, 8, 70]),
+    chunk=st.integers(1, 48),
+)
+@example(lines=["# head", "1", "2", "\u0663", "-4"], newline="\n", final_newline=True,
+         bits=8, chunk=6)
+def test_chunked_reader_matches_line_parser(lines, newline, final_newline, bits, chunk):
+    text = newline.join(lines) + (newline if final_newline and lines else "")
+    cfg = CicConfig(2, 3, 1, bits)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_CHUNK_CHARS", chunk), \
+            mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["decimate", "-N", "2", "-R", "3", "-B", str(bits)])
+    want_code, want_out, want_err = reference_run(text, bits, cfg)
+    assert (code, out.getvalue()) == (want_code, want_out)
+    if want_err is not None:
+        assert err.getvalue() == want_err + "\n"
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------- usage errors

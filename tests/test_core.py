@@ -4,6 +4,7 @@ unbounded-integer reference path."""
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -304,3 +305,152 @@ def test_streaming_is_split_invariant(case, cut):
     assert parts == whole
     assert state.samples_out == len(block) // cfg.rate
     assert state.phase == len(block) % cfg.rate
+
+
+# ---------------------------------------------------------------- input contract
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def engine_state(state):
+    """Everything a block may change, as plain values."""
+    return (state.phase, state.samples_in, state.samples_out,
+            list(state._integrators), [list(line) for line in state._combs])
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+@pytest.mark.parametrize("bits", [8, 40])  # W = 14 (int64 path) and W = 46
+def test_block_accepts_every_integer_dtype(dtype, bits):
+    cfg = CicConfig(2, 4, 2, bits)
+    info = np.iinfo(dtype)
+    lo, hi = signed_range(bits)
+    lo, hi = max(lo, int(info.min)), min(hi, int(info.max))
+    rng = random.Random(11)
+    block = [rng.choice([lo, hi, rng.randint(lo, hi)]) for _ in range(101)]
+    got = DecimatorState(cfg).process_block(np.array(block, dtype=dtype))
+    assert got == reference_decimate(cfg, block)
+    assert all(type(y) is int for y in got)
+
+
+@pytest.mark.parametrize("cfg", [CicConfig(3, 8, 1, 55), CicConfig(3, 8, 1, 64)])
+def test_int64_block_at_and_above_64_bits(cfg):
+    assert required_width(cfg) > 63
+    lo, hi = signed_range(cfg.input_bits)
+    block = [lo, hi] * 20 + [hi] * 17 + [lo] * 9
+    got = DecimatorState(cfg).process_block(np.array(block, dtype=np.int64))
+    assert got == reference_decimate(cfg, block)
+
+
+def test_block_range_check_reads_values_before_any_cast():
+    state = DecimatorState(CicConfig(2, 4, 1, 8))
+    with pytest.raises(InputRangeError, match="18446744073709551615"):
+        state.process_block(np.array([1, 2**64 - 1], dtype=np.uint64))
+    with pytest.raises(InputRangeError, match="128"):
+        state.process_block(np.array([5, 128], dtype=np.int16))
+    with pytest.raises(InputRangeError):
+        state.push(np.uint64(2**64 - 1))
+    assert state.samples_in == 0
+
+
+NOT_SAMPLES = [True, False, np.bool_(True), 0.5, 1.0, np.float64(1.0), "3", None]
+
+
+@pytest.mark.parametrize("bad", NOT_SAMPLES, ids=repr)
+def test_push_rejects_non_integer_samples(bad):
+    state = DecimatorState(CicConfig(2, 4, 1, 8))
+    state.push(3)
+    before = engine_state(state)
+    with pytest.raises(InputRangeError, match="not an integer"):
+        state.push(bad)
+    assert engine_state(state) == before
+
+
+@pytest.mark.parametrize("bad", NOT_SAMPLES, ids=repr)
+def test_block_rejects_non_integer_samples(bad):
+    state = DecimatorState(CicConfig(2, 4, 1, 8))
+    with pytest.raises(InputRangeError, match="not an integer"):
+        state.process_block([1, 2, bad, 4])
+
+
+@pytest.mark.parametrize(
+    "block", [np.array([1.0, 2.0]), np.array([True, False]), np.zeros((2, 2), np.int64)],
+    ids=["float64", "bool", "2-D"],
+)
+def test_block_rejects_non_integer_arrays(block):
+    with pytest.raises(InputRangeError):
+        DecimatorState(CicConfig(2, 4, 1, 8)).process_block(block)
+
+
+@pytest.mark.parametrize("width", [None, 70])  # int64 and object block paths
+def test_rejected_block_leaves_state_unchanged(width):
+    cfg = CicConfig(2, 4, 2, 8)
+    state, twin = DecimatorState(cfg, width), DecimatorState(cfg, width)
+    state.process_block([7, -3, 100, 5, 9])
+    twin.process_block([7, -3, 100, 5, 9])
+    before = engine_state(state)
+    for bad in ([1, 2, 3, 128], np.array([1, 2, -129], np.int16), [1, True], [0.5]):
+        with pytest.raises(InputRangeError):
+            state.process_block(bad)
+        assert engine_state(state) == before
+    tail = list(range(-60, 60, 7))
+    assert state.process_block(tail) == twin.process_block(tail)
+
+
+def test_block_and_push_share_state_at_width_override():
+    cfg = CicConfig(3, 5, 2, 12)
+    block = [(-1) ** i * (i * 97 % 2048) for i in range(200)]
+    for width in (required_width(cfg), 64, 65, 90):
+        state = DecimatorState(cfg, width=width)
+        outs = state.process_block(block[:33])
+        outs += [y for y in map(state.push, block[33:71]) if y is not None]
+        outs += state.process_block(np.array(block[71:], dtype=np.int16))
+        assert outs == reference_decimate(cfg, block)
+
+
+# Configs whose register width lands on or just past the int64 limit
+# (N=3, R=8, M=1: W = B + 9, so B = 53..57 gives W = 62..66) or far above
+# it; small D keeps the reference convolution fast.
+WIDE_CONFIGS = [(3, 8, 1, b) for b in range(53, 58)] + [(3, 8, 2, 53), (3, 8, 1, 100), (2, 3, 1, 100)]
+
+
+@st.composite
+def interleaved_feed(draw):
+    """A config, its samples, and a plan that cuts them into push/block pieces."""
+    if draw(st.booleans()):
+        n, r, m, b = draw(st.sampled_from(WIDE_CONFIGS))
+    else:
+        n, r, m, b = (draw(st.integers(1, 4)), draw(st.integers(1, 9)),
+                      draw(st.integers(1, 2)), draw(st.integers(1, 16)))
+    cfg = quiet_config(n, r, m, b)
+    lo, hi = signed_range(b)
+    samples = draw(st.lists(st.integers(lo, hi), max_size=150))
+    pieces, i = [], 0
+    while i < len(samples):
+        k = draw(st.integers(0, 40))
+        how = draw(st.sampled_from(["push", "list"] + INT_DTYPES))
+        pieces.append((how, samples[i:i + k]))
+        i += k
+    return cfg, samples, pieces
+
+
+def feed(state, how, piece):
+    if how == "push":
+        return [y for y in map(state.push, piece) if y is not None]
+    if how != "list":
+        info = np.iinfo(how)
+        if all(info.min <= x <= info.max for x in piece):
+            return state.process_block(np.array(piece, dtype=how))
+    return state.process_block(piece)
+
+
+@given(interleaved_feed())
+def test_push_and_block_interleavings_match_reference(case):
+    cfg, samples, pieces = case
+    state = DecimatorState(cfg)
+    outs = []
+    for how, piece in pieces:
+        outs += feed(state, how, piece)
+    assert outs == reference_decimate(cfg, samples)
+    assert state.samples_in == len(samples)
+    assert state.samples_out == len(samples) // cfg.rate
+    assert state.phase == len(samples) % cfg.rate
