@@ -10,6 +10,7 @@ immediately, resets the filter core and deasserts `rfd` for that one cycle.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 from .core import CicConfig, DecimatorState, required_width, validate
@@ -72,7 +73,9 @@ class ChipModel:
         else:
             self.width = required_width(config)
         self.core = DecimatorState(config, width=self.width)
-        self._queue = [None] * latency
+        # outputs in flight, newest on the left; a full deque drops the
+        # rightmost (oldest) entry on each appendleft
+        self._queue = deque([None] * latency, maxlen=latency)
         self._dout = 0
 
     @property
@@ -100,7 +103,7 @@ class ChipModel:
             emitted = self.core.push(pins.din)
 
         exiting = self._queue[-1]
-        self._queue = [emitted] + self._queue[:-1]
+        self._queue.appendleft(emitted)
         if exiting is not None:
             self._dout = exiting
         return PinOutputs(dout=self._dout, rdy=exiting is not None, rfd=rfd)

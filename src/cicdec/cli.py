@@ -3,9 +3,10 @@
 File formats are line-oriented decimal text: sample files hold one signed
 integer per line (``#`` starts a comment line), pin traces hold one cycle
 per line as ``nd din we ldin`` with ``-`` for don't-care fields, and
-response tables are CSV with an ``f,mag_db,phase_rad`` header.  Every
-command accepts ``-`` for stdin/stdout.  Exit codes: 0 ok, 1 usage or flag
-error, 2 file/parse/range error.
+response tables are CSV with an ``f,mag_db,phase_rad`` header, formatted
+and written `_ROWS_PER_WRITE` rows at a time.  Every command accepts ``-``
+for stdin/stdout.  Exit codes: 0 ok, 1 usage or flag error, 2
+file/parse/range error.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ from .sdm import OUTPUT_BITS, SigmaDeltaModulator
 #: Characters `decimate` reads at a time, rounded up to the next line end, so
 #: the input is never held in memory whole.
 _CHUNK_CHARS = 1 << 20
+
+#: Response-table rows formatted per write, so the formatting tuple never
+#: holds the whole table.
+_ROWS_PER_WRITE = 4096
 
 # A comment line with the newline before it (see `_parse_chunk`).
 _COMMENT_LINE = re.compile(r"\n#[^\n]*")
@@ -223,10 +228,12 @@ def _cmd_decimate(args) -> int:
 def _cmd_response(args) -> int:
     config = _config_from(args, bits=False)
     curve = response_curve(config, args.grid)
+    table = np.column_stack((curve.freqs, curve.mag_db, curve.phase_rad))
     with _open_text(args.outfile, "w") as fh:
         fh.write("f,mag_db,phase_rad\n")
-        for f, mag, ph in curve.rows():
-            fh.write(f"{f:.12g},{mag:.12g},{ph:.12g}\n")
+        for start in range(0, len(table), _ROWS_PER_WRITE):
+            block = table[start:start + _ROWS_PER_WRITE]
+            fh.write("%.12g,%.12g,%.12g\n" * len(block) % tuple(block.ravel().tolist()))
     if args.fp is not None:
         droop = passband_droop(config, args.fp)
         alias = alias_attenuation(config, args.fp)

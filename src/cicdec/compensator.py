@@ -5,18 +5,28 @@ normalized to the *output* sample rate; an output-rate frequency g sees the
 CIC response at the input-rate frequency g/R.  Taps are symmetric (linear
 phase, odd length), parameterized by their independent half and fit so that
 FIR(g) * CIC(g/R) tracks 1 over the requested passband.
+
+`FirFilter.response_at` takes a float or an array of frequencies, like
+`analysis.magnitude`; the design grid, the composite response and the
+passband deviation are each evaluated as one array expression.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CicConfig, ConfigError, validate
-from .analysis import DomainError, ResponseCurve, magnitude, phase, to_db
+from .analysis import (
+    DomainError,
+    ResponseCurve,
+    magnitude,
+    phase,
+    to_db,
+    uniform_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -31,11 +41,16 @@ class FirFilter:
     def dc_gain(self) -> float:
         return float(sum(self.taps))
 
-    def response_at(self, g: float) -> complex:
-        """Complex frequency response at output-rate frequency g."""
-        return sum(
-            t * cmath.exp(-2j * math.pi * g * k) for k, t in enumerate(self.taps)
-        )
+    def response_at(self, g: float | np.ndarray) -> complex | np.ndarray:
+        """Complex frequency response at output-rate frequency g.
+
+        A float gives a complex back; an array of g gives an array, computed
+        as one exp(-2*pi*i*g*k) @ taps product over the whole grid.
+        """
+        gs = np.asarray(g, dtype=np.float64)
+        k = np.arange(len(self.taps))
+        h = np.exp(-2j * math.pi * np.multiply.outer(gs.ravel(), k)) @ np.asarray(self.taps)
+        return complex(h[0]) if gs.ndim == 0 else h.reshape(gs.shape)
 
 
 def design_compensator(
@@ -47,7 +62,8 @@ def design_compensator(
     frequencies g of (A(g) * cic(g/R) - 1)**2, where A is the zero-phase
     amplitude of the symmetric FIR.  Solved by SVD (numpy lstsq); the cosine
     design matrix is too ill-conditioned for normal equations once the tap
-    count grows.
+    count grows.  The tap_count//2 + 1 free taps need at least as many grid
+    points; fewer would leave the fit underdetermined.
     """
     validate(config)
     if tap_count < 1 or tap_count % 2 == 0:
@@ -56,16 +72,20 @@ def design_compensator(
         raise DomainError(f"fp_out {fp_out} outside (0, 0.5)")
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
-
     half = tap_count // 2
+    if half + 1 > grid_size:
+        raise DomainError(
+            f"{tap_count} taps have {half + 1} free coefficients, more than "
+            f"the {grid_size} grid points that would fit them"
+        )
+
     grid = np.linspace(0.0, fp_out, grid_size)
-    cic_mag = np.array([magnitude(config, g / config.rate) for g in grid])
+    cic_mag = magnitude(config, grid / config.rate)
 
     # Zero-phase amplitude A(g) = p[0] + sum_j 2*p[j]*cos(2*pi*g*j); columns
     # carry the CIC magnitude so the target is the flat cascade, not 1/cic.
-    basis = np.ones((grid_size, half + 1))
-    for j in range(1, half + 1):
-        basis[:, j] = 2.0 * np.cos(2.0 * math.pi * grid * j)
+    basis = 2.0 * np.cos(2.0 * math.pi * grid[:, None] * np.arange(half + 1))
+    basis[:, 0] = 1.0
     design = basis * cic_mag[:, None]
 
     p, *_ = np.linalg.lstsq(design, np.ones(grid_size), rcond=None)
@@ -84,16 +104,14 @@ def composite_response(
     """
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
-    r = config.rate
+    g = uniform_grid(0.5, grid_size)
+    f = g / config.rate
     delay = (len(fir.taps) - 1) / 2.0
-    freqs, mags, phases = [], [], []
-    for i in range(grid_size):
-        g = 0.5 * i / (grid_size - 1)
-        fir_mag = abs(fir.response_at(g))
-        freqs.append(g)
-        mags.append(to_db(magnitude(config, g / r) * fir_mag))
-        phases.append(phase(config, g / r) - 2.0 * math.pi * g * delay)
-    return ResponseCurve(freqs, mags, phases)
+    return ResponseCurve(
+        g,
+        to_db(magnitude(config, f) * np.abs(fir.response_at(g))),
+        phase(config, f) - 2.0 * math.pi * g * delay,
+    )
 
 
 def passband_deviation_db(
@@ -102,9 +120,8 @@ def passband_deviation_db(
     """Max |dB| of the cascade over [0, fp_out] at the output rate."""
     if not 0.0 < fp_out < 0.5:
         raise DomainError(f"fp_out {fp_out} outside (0, 0.5)")
-    worst = 0.0
-    for i in range(grid_size):
-        g = fp_out * i / (grid_size - 1)
-        level = magnitude(config, g / config.rate) * abs(fir.response_at(g))
-        worst = max(worst, abs(to_db(level)))
-    return worst
+    if grid_size < 2:
+        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+    g = uniform_grid(fp_out, grid_size)
+    level = magnitude(config, g / config.rate) * np.abs(fir.response_at(g))
+    return float(np.abs(to_db(level)).max())

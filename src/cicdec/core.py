@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -285,14 +286,15 @@ def boxcar_power(length: int, order: int) -> list[int]:
 
     These are the exact integer taps of the full-rate CIC impulse response:
     order*(length-1)+1 of them, palindromic, summing to length**order.
+    Each pass is a moving sum of `length` taps, taken as differences of
+    running sums over the zero-padded taps, so it is linear in the tap
+    count and stays exact in Python integers at any width.
     """
     taps = [1]
+    pad = [0] * (length - 1)
     for _ in range(order):
-        acc = [0] * (len(taps) + length - 1)
-        for i, t in enumerate(taps):
-            for j in range(length):
-                acc[i + j] += t
-        taps = acc
+        sums = [0, *accumulate(pad + taps + pad)]
+        taps = [hi - lo for lo, hi in zip(sums, sums[length:])]
     return taps
 
 

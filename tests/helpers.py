@@ -23,6 +23,18 @@ def poly_response(config, f):
     return acc / sum(taps)
 
 
+def direct_boxcar_power(length, order):
+    """`order`-fold self-convolution of `length` ones, as a literal double loop."""
+    taps = [1]
+    for _ in range(order):
+        acc = [0] * (len(taps) + length - 1)
+        for i, t in enumerate(taps):
+            for j in range(length):
+                acc[i + j] += t
+        taps = acc
+    return taps
+
+
 def poly_mag(config, f) -> float:
     return float(abs(poly_response(config, f)))
 

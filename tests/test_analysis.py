@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -111,6 +112,72 @@ def test_magnitude_decreases_across_first_lobe():
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
 
+# ---------------------------------------------------------------- array path
+
+
+@st.composite
+def grids_around_nulls(draw):
+    """A small config and an array mixing random frequencies with every
+    exact grid null k/D and its one-ulp neighbours inside [0, 0.5]."""
+    cfg = quiet_config(draw(st.integers(1, 3)), draw(st.integers(2, 8)), draw(st.integers(1, 2)))
+    nulls = np.array(null_frequencies(cfg))
+    near = np.concatenate((nulls, np.nextafter(nulls, 0.0), np.nextafter(nulls, 1.0)))
+    rand = draw(st.lists(st.floats(0.0, 0.5, allow_nan=False), max_size=8))
+    f = np.concatenate((near[near <= 0.5], rand, [0.0]))
+    return cfg, draw(st.permutations(f.tolist()))
+
+
+@given(grids_around_nulls())
+def test_magnitude_array_matches_tap_polynomial(case):
+    cfg, f = case
+    closed = magnitude(cfg, np.array(f))
+    assert isinstance(closed, np.ndarray) and closed.shape == (len(f),)
+    for fi, ci in zip(f, closed.tolist()):
+        poly = poly_mag(cfg, fi)
+        assert 0.0 <= ci <= 1.0
+        assert abs(ci - poly) <= 1e-9 * max(poly, 1e-15)
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 64),
+    st.integers(1, 2),
+    st.lists(st.floats(0.0, 0.5, allow_nan=False), min_size=1, max_size=16),
+)
+def test_scalar_and_array_calls_agree(n, r, m, f):
+    cfg = quiet_config(n, r, m)
+    mags, phases = magnitude(cfg, np.array(f)), phase(cfg, np.array(f))
+    dbs = to_db(mags)
+    for i, fi in enumerate(f):
+        mag = magnitude(cfg, fi)
+        assert type(mag) is float and type(phase(cfg, fi)) is float
+        assert mag == magnitude(cfg, np.array([fi]))[0] == mags[i]
+        assert phase(cfg, fi) == phase(cfg, np.array([fi]))[0] == phases[i]
+        assert to_db(mag) == to_db(np.array([mag]))[0] == dbs[i]
+
+
+def test_array_calls_keep_shape():
+    cfg = CicConfig(2, 8)
+    f = np.linspace(0.0, 0.5, 12).reshape(3, 4)
+    assert magnitude(cfg, f).shape == phase(cfg, f).shape == to_db(f).shape == (3, 4)
+    assert magnitude(cfg, np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [-0.1, 0.5000001, float("nan")])
+def test_any_element_out_of_domain_raises(bad):
+    f = np.array([0.0, 0.1, bad, 0.4])
+    with pytest.raises(DomainError):
+        magnitude(CicConfig(2, 50), f)
+    with pytest.raises(DomainError):
+        phase(CicConfig(2, 50), f)
+
+
+def test_to_db_array_floor_and_identity():
+    db = to_db(np.array([0.0, 1e-20, -1.0, 1.0, 0.5]))
+    assert db[:3].tolist() == [DB_FLOOR] * 3
+    assert db[3] == 0.0 and db[4] == to_db(0.5)
+
+
 # ---------------------------------------------------------------- phase
 
 
@@ -154,7 +221,7 @@ def test_null_spacing_follows_composite_length():
 
 def test_response_curve_three_point_example():
     curve = response_curve(CicConfig(1, 2), 3)
-    assert curve.freqs == [0.0, 0.25, 0.5]
+    assert curve.freqs.tolist() == [0.0, 0.25, 0.5]
     assert curve.mag_db[0] == 0.0
     assert curve.mag_db[1] == pytest.approx(20 * math.log10(math.cos(math.pi / 4)), abs=1e-9)
     assert curve.mag_db[2] == DB_FLOOR

@@ -151,6 +151,17 @@ def test_load_outside_rate_range_is_an_error():
         chip.tick(PinInputs(ldin=1, we=True))
 
 
+def test_latency_queue_shifts_in_place():
+    # each tick moves the delay line by one slot; rebuilding the whole
+    # latency-long queue every cycle made a tick O(latency)
+    chip = ChipModel(CicConfig(1, 2, 1, 8), latency=1000)
+    queue = chip._queue
+    outs = run_trace(chip, dense_feed([1, 2, 3, 4]) + idle(1000))
+    assert chip._queue is queue and len(queue) == 1000
+    assert [c for c, o in enumerate(outs) if o.rdy] == [1001, 1003]
+    assert gated_douts(outs) == [3, 7]
+
+
 # ---------------------------------------------------------------- trace driver
 
 

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cicdec import CicConfig, cli, gain, reference_decimate
+from cicdec import CicConfig, cli, gain, magnitude, phase, reference_decimate, to_db
 from cicdec.cli import DataError, _read_samples, main
 from helpers import quiet_config
 
@@ -216,6 +216,39 @@ def test_response_floor_at_null(capsys):
     assert at_null and min(at_null) <= -250.0
 
 
+@pytest.mark.parametrize("stages, rate, delay", [(3, 8, 2), (2, 5, 2)])
+def test_response_table_matches_per_point_rows(tmp_path, capsys, stages, rate, delay):
+    """Block-written table against rows formatted one at a time.
+
+    The grid spans several write blocks and ends in a partial one; every
+    null k/D lies on it (D divides 2*(grid-1)).
+    """
+    grid = 8801
+    assert grid // cli._ROWS_PER_WRITE >= 2 and grid % cli._ROWS_PER_WRITE
+    cfg = CicConfig(stages, rate, delay)
+    d = cfg.kernel_length
+    assert 2 * (grid - 1) % d == 0
+    outfile = tmp_path / "resp.csv"
+    code, _, _ = run_cli(
+        capsys, "response", "-N", str(stages), "-R", str(rate), "-M", str(delay),
+        "--grid", str(grid), "--out", str(outfile),
+    )
+    assert code == 0
+    lines = outfile.read_text().splitlines()
+    assert lines[0] == "f,mag_db,phase_rad"
+    assert len(lines) == grid + 1
+    nulls = {k * 2 * (grid - 1) // d for k in range(1, d // 2 + 1)}
+    for i, line in enumerate(lines[1:]):
+        f = 0.5 * i / (grid - 1)
+        want = (f"{f:.12g}", f"{to_db(magnitude(cfg, f)):.12g}", f"{phase(cfg, f):.12g}")
+        got = line.split(",")
+        assert got[0] == want[0]
+        if i in nulls:
+            assert got[1] == "-300"
+        assert abs(float(got[1]) - float(want[1])) <= 1e-9
+        assert float(got[2]) == pytest.approx(float(want[2]), rel=1e-11, abs=1e-15)
+
+
 def test_response_minimal_grid(capsys):
     code, out, _ = run_cli(capsys, "response", "-N", "1", "-R", "2", "--grid", "2")
     assert code == 0
@@ -246,6 +279,15 @@ def test_compensate_benchmark_design(tmp_path, capsys):
     assert taps == taps[::-1]
     deviation = float(err.split("deviation_db=")[1].split()[0])
     assert deviation <= 0.1
+
+
+def test_compensate_rejects_underdetermined_design(capsys):
+    code, out, err = run_cli(
+        capsys, "compensate", "-N", "2", "-R", "50", "--taps", "63", "--grid", "20",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cicdec: error: ") and "Traceback" not in err
 
 
 def test_compensate_rejects_even_tap_count(capsys):

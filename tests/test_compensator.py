@@ -4,6 +4,8 @@ The design target for (N=2, R=50) over [0, 0.25] at the output rate is the
 benchmark case throughout: its uncompensated droop is 1.82 dB.
 """
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -89,11 +91,22 @@ def test_bad_output_edges_rejected(bad_fp):
         passband_deviation_db(BENCH, FirFilter([1.0]), bad_fp)
 
 
+def test_underdetermined_design_rejected():
+    # 15 taps have 8 free coefficients: 8 grid points fit them, 7 cannot
+    assert len(design_compensator(BENCH, 15, 0.25, grid_size=8)) == 15
+    with pytest.raises(DomainError):
+        design_compensator(BENCH, 15, 0.25, grid_size=7)
+    with pytest.raises(DomainError):
+        design_compensator(BENCH, 63, 0.25, grid_size=31)
+
+
 def test_tiny_design_grid_rejected():
     with pytest.raises(DomainError):
         design_compensator(BENCH, 15, 0.25, grid_size=1)
     with pytest.raises(DomainError):
         composite_response(BENCH, FirFilter([1.0]), 1)
+    with pytest.raises(DomainError):
+        passband_deviation_db(BENCH, FirFilter([1.0]), 0.25, grid_size=1)
 
 
 @given(
@@ -108,6 +121,33 @@ def test_designs_are_symmetric_and_normalized(n, r, half, fp_out):
     assert len(fir) == 2 * half + 1
     assert fir.taps == fir.taps[::-1]
     assert np.isfinite(fir.taps).all()
+
+
+# ---------------------------------------------------------------- response
+
+
+@given(
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=20),
+    st.lists(st.floats(0.0, 0.5), min_size=1, max_size=12),
+)
+def test_response_at_array_matches_per_point_sum(taps, g):
+    fir = FirFilter(taps)
+    h = fir.response_at(np.array(g))
+    assert h.shape == (len(g),)
+    for gi, hi in zip(g, h.tolist()):
+        direct = sum(t * cmath.exp(-2j * cmath.pi * gi * k) for k, t in enumerate(taps))
+        assert abs(hi - direct) <= 1e-12 * (1.0 + sum(map(abs, taps)))
+        assert fir.response_at(gi) == fir.response_at(np.array([gi]))[0]
+        assert type(fir.response_at(gi)) is complex
+
+
+def test_deviation_is_the_worst_per_point_level():
+    fir = design_compensator(BENCH, 15, 0.25)
+    worst = max(
+        abs(to_db(magnitude(BENCH, g / BENCH.rate) * abs(fir.response_at(g))))
+        for g in (0.25 * i / 1000 for i in range(1001))
+    )
+    assert passband_deviation_db(BENCH, fir, 0.25) == pytest.approx(worst, rel=1e-9, abs=1e-15)
 
 
 # ---------------------------------------------------------------- composite

@@ -3,6 +3,7 @@ unbounded-integer reference path."""
 
 import dataclasses
 import random
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from cicdec import (
     required_width,
     validate,
 )
-from helpers import quiet_config, signed_range
+from helpers import direct_boxcar_power, quiet_config, signed_range
 
 
 # ---------------------------------------------------------------- config
@@ -162,6 +163,12 @@ def test_boxcar_power_is_positive_palindrome(d, n):
     assert sum(taps) == d**n
 
 
+def test_boxcar_power_matches_direct_convolution():
+    for d in range(1, 17):
+        for n in range(5):
+            assert boxcar_power(d, n) == direct_boxcar_power(d, n)
+
+
 # ---------------------------------------------------------------- streaming engine
 
 
@@ -253,6 +260,18 @@ def test_reference_examples():
     outs = reference_decimate(CicConfig(2, 50, 1, 8), [1] * 200)
     assert outs[0] == 1275
     assert outs[1:] == [2500] * 3
+
+
+def test_reference_handles_long_kernels():
+    # boxcar_power is linear in the tap count per pass; the direct
+    # convolution it replaced needed seconds to minutes at D = 4096
+    cfg = CicConfig(3, 4096, 1, 16)
+    lo, hi = signed_range(16)
+    samples = random.Random(4096).choices([lo, -1, 0, 1, hi], k=3 * 4096 + 17)
+    start = time.perf_counter()
+    expected = reference_decimate(cfg, samples)
+    assert time.perf_counter() - start < 1.0
+    assert DecimatorState(cfg).process_block(samples) == expected
 
 
 @pytest.mark.filterwarnings("ignore::cicdec.DifferentialDelayWarning")
