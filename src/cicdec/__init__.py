@@ -7,21 +7,17 @@ from .core import (
     DecimatorState,
     DifferentialDelayWarning,
     InputRangeError,
-    RegisterWord,
     WidthError,
     boxcar_power,
     gain,
     reference_decimate,
     required_width,
-    validate,
 )
 from .analysis import (
     DB_FLOOR,
     DomainError,
-    ImpulseResponse,
     ResponseCurve,
     alias_attenuation,
-    impulse_response,
     magnitude,
     null_frequencies,
     passband_droop,
@@ -46,19 +42,15 @@ __all__ = [
     "DecimatorState",
     "DifferentialDelayWarning",
     "InputRangeError",
-    "RegisterWord",
     "WidthError",
     "boxcar_power",
     "gain",
     "reference_decimate",
     "required_width",
-    "validate",
     "DB_FLOOR",
     "DomainError",
-    "ImpulseResponse",
     "ResponseCurve",
     "alias_attenuation",
-    "impulse_response",
     "magnitude",
     "null_frequencies",
     "passband_droop",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CicConfig, boxcar_power, validate
+from .core import CicConfig
 
 
 class DomainError(ValueError):
@@ -56,20 +56,6 @@ def to_db(magnitude_linear: float | np.ndarray) -> float | np.ndarray:
 
 
 @dataclass(frozen=True)
-class ImpulseResponse:
-    """Exact integer taps of the full-rate CIC impulse response."""
-
-    taps: list[int]
-
-    def __len__(self) -> int:
-        return len(self.taps)
-
-    @property
-    def tap_sum(self) -> int:
-        return sum(self.taps)
-
-
-@dataclass(frozen=True)
 class ResponseCurve:
     """Sampled response: parallel frequency / magnitude-dB / phase-radian arrays."""
 
@@ -80,12 +66,6 @@ class ResponseCurve:
     def rows(self):
         """(f, mag_db, phase_rad) tuples of Python floats."""
         return zip(self.freqs.tolist(), self.mag_db.tolist(), self.phase_rad.tolist())
-
-
-def impulse_response(config: CicConfig) -> ImpulseResponse:
-    """N-fold self-convolution of the length-(R*M) all-ones kernel, exact."""
-    validate(config)
-    return ImpulseResponse(boxcar_power(config.kernel_length, config.stages))
 
 
 def magnitude(config: CicConfig, f: float | np.ndarray) -> float | np.ndarray:
@@ -120,20 +100,19 @@ def phase(config: CicConfig, f: float | np.ndarray) -> float | np.ndarray:
 
 def null_frequencies(config: CicConfig) -> list[float]:
     """Response zeros k/D for k = 1..floor(D/2), within (0, 0.5]."""
-    validate(config)
     d = config.kernel_length
     return [k / d for k in range(1, d // 2 + 1)]
 
 
 def uniform_grid(stop: float, size: int) -> np.ndarray:
-    """`size` points stop*i/(size-1), i = 0..size-1, in that rounding order."""
+    """`size` >= 2 points stop*i/(size-1), i = 0..size-1, in that rounding order."""
+    if size < 2:
+        raise DomainError(f"grid_size must be >= 2, got {size}")
     return stop * np.arange(size) / (size - 1)
 
 
 def response_curve(config: CicConfig, grid_size: int) -> ResponseCurve:
     """Magnitude/phase sampled on a uniform grid over [0, 0.5] inclusive."""
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     freqs = uniform_grid(0.5, grid_size)
     return ResponseCurve(freqs, to_db(magnitude(config, freqs)), phase(config, freqs))
 

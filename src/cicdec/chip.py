@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .core import CicConfig, DecimatorState, required_width, validate
+from .core import CicConfig, DecimatorState, required_width
 
 
 class ProtocolError(ValueError):
@@ -54,7 +54,6 @@ class ChipModel:
         latency: int | None = None,
         rate_range: tuple[int, int] | None = None,
     ):
-        validate(config)
         if latency is None:
             latency = config.stages + 1
         if latency < 1:

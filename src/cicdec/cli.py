@@ -6,7 +6,7 @@ per line as ``nd din we ldin`` with ``-`` for don't-care fields, and
 response tables are CSV with an ``f,mag_db,phase_rad`` header, formatted
 and written `_ROWS_PER_WRITE` rows at a time.  Every command accepts ``-``
 for stdin/stdout.  Exit codes: 0 ok, 1 usage or flag error, 2
-file/parse/range error.
+file/parse/range error (text that does not decode included).
 """
 
 from __future__ import annotations
@@ -363,6 +363,12 @@ def main(argv=None) -> int:
         return 1
     except (DataError, InputRangeError, ProtocolError, OSError) as exc:
         print(f"cicdec: error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        # the codec's position counts from the decoder's buffer, not the file
+        byte = exc.object[exc.start]
+        print(f"cicdec: error: input is not {exc.encoding} text: byte {byte:#04x}: "
+              f"{exc.reason}", file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CicConfig, ConfigError, validate
+from .core import CicConfig, ConfigError
 from .analysis import (
     DomainError,
     ResponseCurve,
@@ -65,13 +65,11 @@ def design_compensator(
     count grows.  The tap_count//2 + 1 free taps need at least as many grid
     points; fewer would leave the fit underdetermined.
     """
-    validate(config)
     if tap_count < 1 or tap_count % 2 == 0:
         raise ConfigError(f"tap_count must be odd and >= 1, got {tap_count}")
     if not 0.0 < fp_out < 0.5:
         raise DomainError(f"fp_out {fp_out} outside (0, 0.5)")
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+    grid = uniform_grid(fp_out, grid_size)
     half = tap_count // 2
     if half + 1 > grid_size:
         raise DomainError(
@@ -79,7 +77,6 @@ def design_compensator(
             f"the {grid_size} grid points that would fit them"
         )
 
-    grid = np.linspace(0.0, fp_out, grid_size)
     cic_mag = magnitude(config, grid / config.rate)
 
     # Zero-phase amplitude A(g) = p[0] + sum_j 2*p[j]*cos(2*pi*g*j); columns
@@ -102,8 +99,6 @@ def composite_response(
     Magnitude is cic(g/R) * |FIR(g)| in dB; phase is the CIC linear-phase
     term at g/R plus the symmetric FIR's group-delay term.
     """
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     g = uniform_grid(0.5, grid_size)
     f = g / config.rate
     delay = (len(fir.taps) - 1) / 2.0
@@ -120,8 +115,6 @@ def passband_deviation_db(
     """Max |dB| of the cascade over [0, fp_out] at the output rate."""
     if not 0.0 < fp_out < 0.5:
         raise DomainError(f"fp_out {fp_out} outside (0, 0.5)")
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     g = uniform_grid(fp_out, grid_size)
     level = magnitude(config, g / config.rate) * np.abs(fir.response_at(g))
     return float(np.abs(to_db(level)).max())

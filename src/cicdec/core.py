@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -38,9 +38,11 @@ class DifferentialDelayWarning(UserWarning):
 class CicConfig:
     """CIC design tuple: stage count, rate change, differential delay, input bits.
 
-    Construction validates the fields; a differential delay above 2 is
-    accepted but warned about, since such designs are unusual (the nulls
-    bunch up inside the would-be passband).
+    Construction is the only validation: the fields are checked here once
+    and the frozen instance is trusted after that (`dataclasses.replace`
+    builds, and so checks, a new one).  A differential delay above 2 is
+    accepted but warned about, at the caller's line, since such designs are
+    unusual (the nulls bunch up inside the would-be passband).
     """
 
     stages: int
@@ -58,19 +60,13 @@ class CicConfig:
                 f"diff_delay={self.diff_delay} is outside the usual design range "
                 "{1, 2}; the response nulls move into the passband",
                 DifferentialDelayWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
 
     @property
     def kernel_length(self) -> int:
         """Length R*M of the single-stage boxcar kernel (the composite rate change)."""
         return self.rate * self.diff_delay
-
-
-def validate(config: CicConfig) -> CicConfig:
-    """Re-run the construction checks on `config` and return it unchanged."""
-    CicConfig(config.stages, config.rate, config.diff_delay, config.input_bits)
-    return config
 
 
 def gain(config: CicConfig) -> int:
@@ -97,31 +93,6 @@ def _wrap(value: int, width: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class RegisterWord:
-    """A W-bit signed register value with modular (wrapping) arithmetic.
-
-    The stored value always lies in [-2**(W-1), 2**(W-1) - 1]; construction
-    reduces any integer into that range, and add/sub never overflow.
-    """
-
-    width: int
-    value: int = 0
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ConfigError(f"width must be >= 1, got {self.width}")
-        object.__setattr__(self, "value", _wrap(self.value, self.width))
-
-    def add(self, other: "RegisterWord | int") -> "RegisterWord":
-        rhs = other.value if isinstance(other, RegisterWord) else other
-        return RegisterWord(self.width, self.value + rhs)
-
-    def sub(self, other: "RegisterWord | int") -> "RegisterWord":
-        rhs = other.value if isinstance(other, RegisterWord) else other
-        return RegisterWord(self.width, self.value - rhs)
-
-
 def _is_sample_type(t: type) -> bool:
     """Samples are Python or numpy integers; bool is not a sample."""
     return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
@@ -138,7 +109,6 @@ class DecimatorState:
     """
 
     def __init__(self, config: CicConfig, width: int | None = None):
-        validate(config)
         min_width = required_width(config)
         if width is None:
             width = min_width
@@ -305,7 +275,6 @@ def reference_decimate(config: CicConfig, samples) -> list[int]:
     outputs at indices m*R + R - 1, i.e. one output after every R inputs.
     No wrapping anywhere; results are exact Python integers.
     """
-    validate(config)
     samples = list(samples)
     taps = boxcar_power(config.kernel_length, config.stages)
     r = config.rate

@@ -11,7 +11,6 @@ from cicdec import (
     DB_FLOOR,
     DomainError,
     alias_attenuation,
-    impulse_response,
     magnitude,
     null_frequencies,
     passband_droop,
@@ -31,24 +30,6 @@ def test_to_db_floor_and_identity():
     assert to_db(1.0) == 0.0
     assert to_db(0.5) == pytest.approx(-6.0206, abs=1e-4)
     assert to_db(0.1) > to_db(0.01)
-
-
-# ---------------------------------------------------------------- impulse taps
-
-
-def test_impulse_response_examples():
-    assert impulse_response(CicConfig(1, 4)).taps == [1, 1, 1, 1]
-    assert impulse_response(CicConfig(2, 4)).taps == [1, 2, 3, 4, 3, 2, 1]
-    resp = impulse_response(CicConfig(2, 50))
-    assert len(resp) == 99
-    assert resp.tap_sum == 2500
-
-
-@given(st.integers(1, 4), st.integers(1, 16), st.integers(1, 2))
-def test_impulse_response_is_palindromic(n, r, m):
-    taps = impulse_response(quiet_config(n, r, m)).taps
-    assert taps == taps[::-1]
-    assert len(taps) == n * (r * m - 1) + 1
 
 
 # ---------------------------------------------------------------- magnitude

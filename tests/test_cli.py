@@ -103,6 +103,17 @@ def test_decimate_missing_file_is_a_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_decimate_undecodable_input_is_a_data_error(tmp_path, capsys):
+    infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+    infile.write_bytes(b"1\n\xff\n2\n")
+    code, _, err = run_cli(
+        capsys, "decimate", "-N", "2", "-R", "2", "--in", str(infile), "--out", str(outfile),
+    )
+    assert code == 2
+    assert err.startswith("cicdec: error: input is not ") and "byte 0xff" in err
+    assert not outfile.exists()
+
+
 def test_plain_sample_files_skip_the_line_parser(tmp_path, capsys, monkeypatch):
     samples = list(range(-128, 128)) * 3
     infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
@@ -385,6 +396,58 @@ def test_chipsim_din_out_of_range(tmp_path, capsys):
     )
     assert code == 2
     assert "cycle 0" in err
+
+
+def test_chipsim_undecodable_trace_is_a_data_error(tmp_path, capsys):
+    infile = tmp_path / "trace.txt"
+    infile.write_bytes(b"1 5 0 -\n\xff 1 0 -\n")
+    code, _, err = run_cli(capsys, "chipsim", "-N", "1", "-R", "2", "--in", str(infile))
+    assert code == 2
+    assert err.startswith("cicdec: error: input is not ") and "byte 0xff" in err
+
+
+# Fields the trace parser accepts, rejects or hands on to the chip model:
+# in-range and out-of-range din/ldin values (-B 8, --rmax 16), junk tokens
+# and non-ASCII digits.
+TRACE_FLAG = st.sampled_from(["0", "1", "-"])
+TRACE_TOKEN = st.one_of(
+    TRACE_FLAG,
+    st.integers(-2, 20).map(str),
+    st.integers(-300, 300).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["x", "0x10", "1.0", "+5", "1_0", "--", "\u0663", "\u0661\u0662", "\u00e9"]),
+)
+TRACE_LINE = st.one_of(
+    st.integers(-128, 127).map(lambda din: f"1 {din} 0 -"),  # plain data cycles
+    st.tuples(TRACE_FLAG, TRACE_TOKEN, TRACE_FLAG, TRACE_TOKEN).map(" ".join),
+    st.lists(TRACE_TOKEN, max_size=6).map(" ".join),  # wrong field counts
+    st.sampled_from(["", "   ", "# comment", "  # indented", "1 5 0 - # note"]),
+)
+INVALID_UTF8 = [b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80", b"\xf0\x9f"]
+
+
+@given(
+    lines=st.lists(TRACE_LINE, max_size=30),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    bad_bytes=st.one_of(st.just(b""), st.sampled_from(INVALID_UTF8)),
+    bad_at=st.integers(0, 2000),
+    rmax=st.sampled_from([[], ["--rmax", "16"]]),
+)
+@example(lines=["1 5 0 -", "0 - 1 4"], newline="\n", bad_bytes=b"\xff", bad_at=8,
+         rmax=["--rmax", "16"])
+def test_chipsim_any_trace_exits_cleanly(tmp_path_factory, lines, newline, bad_bytes,
+                                         bad_at, rmax):
+    data = newline.join(lines).encode() + newline.encode()
+    at = min(bad_at, len(data))
+    infile = tmp_path_factory.getbasetemp() / "fuzz_trace.txt"
+    infile.write_bytes(data[:at] + bad_bytes + data[at:])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["chipsim", "-N", "2", "-R", "3", "-B", "8", *rmax, "--in", str(infile)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith("cicdec: error: ")
 
 
 # ---------------------------------------------------------------- sdm

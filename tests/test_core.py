@@ -4,24 +4,27 @@ unbounded-integer reference path."""
 import dataclasses
 import random
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cicdec import (
+    ChipModel,
     CicConfig,
     ConfigError,
     DecimatorState,
     DifferentialDelayWarning,
     InputRangeError,
-    RegisterWord,
     WidthError,
     boxcar_power,
+    design_compensator,
     gain,
+    null_frequencies,
     reference_decimate,
     required_width,
-    validate,
 )
 from helpers import direct_boxcar_power, quiet_config, signed_range
 
@@ -63,10 +66,23 @@ def test_config_error_names_offending_field():
 
 def test_large_diff_delay_warns_but_builds():
     with pytest.warns(DifferentialDelayWarning):
-        cfg = CicConfig(stages=4, rate=8, diff_delay=4, input_bits=16)
-    assert cfg.kernel_length == 32
-    with pytest.warns(DifferentialDelayWarning):
-        validate(cfg)  # revalidation repeats the construction checks, warning included
+        cfg = CicConfig(stages=4, rate=8, diff_delay=3, input_bits=16)
+    assert cfg.kernel_length == 24
+    # a config is checked once, when it is built: using it warns no further
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        DecimatorState(cfg)
+        ChipModel(cfg)
+        reference_decimate(cfg, [1] * 48)
+        null_frequencies(cfg)
+        design_compensator(cfg, 15, 0.25)
+    assert not [w for w in caught if issubclass(w.category, DifferentialDelayWarning)]
+
+
+def test_diff_delay_warning_names_the_caller():
+    with pytest.warns(DifferentialDelayWarning) as record:
+        CicConfig(stages=2, rate=8, diff_delay=3)
+    assert Path(record[0].filename) == Path(__file__)
 
 
 def test_usual_diff_delays_do_not_warn(recwarn):
@@ -120,27 +136,6 @@ def test_required_width_tight_for_extreme_outputs(n, r, m, b):
     assert -(1 << (w - 1)) <= peak_neg and peak_pos <= (1 << (w - 1)) - 1
     if w > 1:  # w-1 bits must clip at least one extreme
         assert peak_neg < -(1 << (w - 2)) or peak_pos > (1 << (w - 2)) - 1
-
-
-# ---------------------------------------------------------------- RegisterWord
-
-
-@given(st.integers(1, 64), st.integers(), st.integers())
-def test_register_word_stays_in_range_and_wraps(width, a, b):
-    word = RegisterWord(width, 0).add(a)
-    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
-    assert lo <= word.value <= hi
-    assert (word.value - a) % (1 << width) == 0
-    total = word.add(b)
-    assert lo <= total.value <= hi
-    assert (total.value - (a + b)) % (1 << width) == 0
-    diff = total.sub(b)
-    assert diff.value == word.value
-
-
-def test_register_word_rejects_bad_width():
-    with pytest.raises(ConfigError):
-        RegisterWord(0, 0)
 
 
 # ---------------------------------------------------------------- boxcar kernels
