@@ -31,9 +31,9 @@ DB_FLOOR = -300.0
 
 
 def _shaped_like(arg, values: np.ndarray):
-    """`values` as a Python float for a scalar `arg`, else in `arg`'s shape."""
+    """`values` as a Python scalar for a scalar `arg`, else in `arg`'s shape."""
     if np.ndim(arg) == 0:
-        return float(values[0])
+        return values[0].item()  # float or complex, as `values` holds
     return values.reshape(np.shape(arg))
 
 

@@ -10,14 +10,22 @@ immediately, resets the filter core and deasserts `rfd` for that one cycle.
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .core import CicConfig, DecimatorState, required_width
+from .core import CicConfig, DecimatorState, DifferentialDelayWarning, required_width
 
 
 class ProtocolError(ValueError):
     """The pin trace violates the chip's handshake contract."""
+
+
+def _at_rate(config: CicConfig, rate: int) -> CicConfig:
+    """`config` with another rate, without repeating the warning its M gave."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DifferentialDelayWarning)
+        return replace(config, rate=rate)
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,7 @@ class ChipModel:
             raise ProtocolError(f"latency must be >= 1, got {latency}")
         self.latency = latency
         self.rate_range = rate_range
+        r_max = config.rate
         if rate_range is not None:
             r_min, r_max = rate_range
             if not 1 <= r_min <= r_max:
@@ -68,9 +77,7 @@ class ChipModel:
                 raise ProtocolError(
                     f"initial rate {config.rate} outside range {rate_range}"
                 )
-            self.width = required_width(replace(config, rate=r_max))
-        else:
-            self.width = required_width(config)
+        self.width = required_width(_at_rate(config, r_max))
         self.core = DecimatorState(config, width=self.width)
         # outputs in flight, newest on the left; a full deque drops the
         # rightmost (oldest) entry on each appendleft
@@ -95,8 +102,7 @@ class ChipModel:
                 )
             # Load beats nd this cycle; the core flushes but in-flight
             # outputs keep draining through the delay queue.
-            new_config = replace(self.core.config, rate=pins.ldin)
-            self.core = DecimatorState(new_config, width=self.width)
+            self.core = DecimatorState(_at_rate(self.core.config, pins.ldin), self.width)
             rfd = False
         elif pins.nd:
             emitted = self.core.push(pins.din)

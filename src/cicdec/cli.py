@@ -12,6 +12,7 @@ file/parse/range error (text that does not decode included).
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from contextlib import contextmanager
@@ -257,10 +258,13 @@ def _cmd_compensate(args) -> int:
 
 def _cmd_chipsim(args) -> int:
     config = _config_from(args)
+    rate_range = (1, args.rmax) if args.rmax is not None else None
+    try:
+        chip = ChipModel(config, latency=args.latency, rate_range=rate_range)
+    except ProtocolError as exc:  # --latency or --rmax, not the trace
+        raise ConfigError(exc) from exc
     with _open_text(args.infile, "r") as fh:
         trace = _parse_trace(fh)
-    rate_range = (1, args.rmax) if args.rmax is not None else None
-    chip = ChipModel(config, latency=args.latency, rate_range=rate_range)
     if trace:
         # drain the pipeline so every in-flight output reaches dout
         trace = trace + [PinInputs()] * chip.latency
@@ -302,6 +306,7 @@ def _cmd_info(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first `main` call, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cicdec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

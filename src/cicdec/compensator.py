@@ -22,6 +22,7 @@ from .core import CicConfig, ConfigError
 from .analysis import (
     DomainError,
     ResponseCurve,
+    _shaped_like,
     magnitude,
     phase,
     to_db,
@@ -47,10 +48,9 @@ class FirFilter:
         A float gives a complex back; an array of g gives an array, computed
         as one exp(-2*pi*i*g*k) @ taps product over the whole grid.
         """
-        gs = np.asarray(g, dtype=np.float64)
-        k = np.arange(len(self.taps))
-        h = np.exp(-2j * math.pi * np.multiply.outer(gs.ravel(), k)) @ np.asarray(self.taps)
-        return complex(h[0]) if gs.ndim == 0 else h.reshape(gs.shape)
+        gs = np.asarray(g, dtype=np.float64).ravel()
+        kernel = np.exp(-2j * math.pi * np.multiply.outer(gs, np.arange(len(self.taps))))
+        return _shaped_like(g, kernel @ np.asarray(self.taps))
 
 
 def design_compensator(

@@ -11,7 +11,6 @@ with `reference_decimate`, which uses Python's unbounded integers).
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -85,14 +84,6 @@ def required_width(config: CicConfig) -> int:
     return config.input_bits + (g - 1).bit_length()
 
 
-def _wrap(value: int, width: int) -> int:
-    """Reduce `value` into the signed two's-complement range of `width` bits."""
-    value &= (1 << width) - 1
-    if value >= 1 << (width - 1):
-        value -= 1 << width
-    return value
-
-
 def _is_sample_type(t: type) -> bool:
     """Samples are Python or numpy integers; bool is not a sample."""
     return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
@@ -122,9 +113,11 @@ class DecimatorState:
         self.width = width
         self._in_min = -(1 << (config.input_bits - 1))
         self._in_max = (1 << (config.input_bits - 1)) - 1
-        # Block arithmetic runs in int64 while W fits it (wrapping mod 2**64
-        # and then to W bits is the same as wrapping to W bits), and on
-        # Python ints in object arrays above that.
+        # One W-bit wrap rule, ((v + half) & mask) - half, for ints and arrays.
+        # Blocks run in int64 while W fits it (wrapping mod 2**64, then to W
+        # bits, is wrapping to W bits), and on Python ints in object arrays above.
+        self._half = 1 << (width - 1)
+        self._mask = (1 << width) - 1
         self._dtype = np.int64 if width <= 64 else object
         self.reset()
 
@@ -132,7 +125,7 @@ class DecimatorState:
         """Zero accumulators, delay lines, phase and sample counters."""
         n, m = self.config.stages, self.config.diff_delay
         self._integrators = [0] * n
-        self._combs = [deque([0] * m, maxlen=m) for _ in range(n)]
+        self._combs = [[0] * m for _ in range(n)]  # comb inputs, oldest first
         self.phase = 0
         self.samples_in = 0
         self.samples_out = 0
@@ -155,11 +148,11 @@ class DecimatorState:
             x = int(x)
         if not self._in_min <= x <= self._in_max:
             raise self._range_error(x)
-        width = self.width
+        half, mask = self._half, self._mask
         acc = self._integrators
         v = x
         for i in range(len(acc)):
-            v = _wrap(acc[i] + v, width)
+            v = ((acc[i] + v + half) & mask) - half
             acc[i] = v
 
         self.samples_in += 1
@@ -169,9 +162,8 @@ class DecimatorState:
         self.phase = 0
 
         for line in self._combs:
-            oldest = line[-1]
-            line.appendleft(v)
-            v = _wrap(v - oldest, width)
+            line.append(v)
+            v = ((v - line.pop(0) + half) & mask) - half
         self.samples_out += 1
         return v
 
@@ -201,9 +193,8 @@ class DecimatorState:
         v = v[r - 1 - self.phase :: r]
         self.phase = (self.phase + len(x)) % r
         for line in self._combs:
-            history = np.array(line, dtype=self._dtype)[::-1]  # oldest first
-            ext = np.concatenate((history, v))
-            line.extendleft(ext[-m:].tolist())
+            ext = np.concatenate((np.array(line, dtype=self._dtype), v))
+            line[:] = ext[-m:].tolist()
             v = self._wrap_array(ext[m:] - ext[:-m])
         self.samples_in += len(x)
         self.samples_out += len(v)
@@ -237,17 +228,15 @@ class DecimatorState:
         return np.asarray(values, dtype=self._dtype)
 
     def _wrap_array(self, v: np.ndarray) -> np.ndarray:
-        """Wrap `v` in place into W-bit two's complement; return it."""
-        if v.dtype == object:
-            half = 1 << (self.width - 1)
-            v += half
-            v &= (1 << self.width) - 1
-            v -= half
-        elif self.width < 64:
-            shift = 64 - self.width
-            u = v.view(np.uint64)  # shift left unsigned, then sign-extend back
-            u <<= shift
-            v >>= shift
+        """Wrap `v` in place into W-bit two's complement; return it.
+
+        int64 sums wrap mod 2**64, which keeps the low W bits the mask takes
+        and leaves nothing to do at W = 64.
+        """
+        if v.dtype == object or self.width < 64:
+            v += self._half
+            v &= self._mask
+            v -= self._half
         return v
 
 

@@ -7,7 +7,16 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cicdec import CicConfig, cli, gain, magnitude, phase, reference_decimate, to_db
+from cicdec import (
+    CicConfig,
+    cli,
+    design_compensator,
+    gain,
+    magnitude,
+    phase,
+    reference_decimate,
+    to_db,
+)
 from cicdec.cli import DataError, _read_samples, main
 from helpers import quiet_config
 
@@ -198,6 +207,32 @@ def test_bad_flags_exit_one(capsys):
     assert run_cli(capsys, "decimate", "-N", "0", "-R", "4")[0] == 1
     assert run_cli(capsys, "nonsense")[0] == 1
     assert run_cli(capsys)[0] == 1
+
+
+def test_parser_is_built_once_and_each_call_sees_its_own_flags(capsys, monkeypatch):
+    cfg = CicConfig(2, 50)
+    code, out, err = run_cli(capsys, "response", "-N", "2", "-R", "50",
+                             "--grid", "11", "--fp", "0.005")
+    assert code == 0 and len(out.splitlines()) == 12 and "droop_db=" in err
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    code, out, err = run_cli(capsys, "response", "-N", "2", "-R", "50")
+    assert code == 0 and len(out.splitlines()) == 1002 and "droop_db=" not in err
+    code, out, _ = run_cli(capsys, "compensate", "-N", "2", "-R", "50", "--taps", "15",
+                           "--grid", "20")
+    assert code == 0
+    assert out == "".join(f"{t!r}\n" for t in design_compensator(cfg, 15, 0.25, 20).taps)
+    code, out, _ = run_cli(capsys, "compensate", "-N", "2", "-R", "50", "--taps", "15")
+    assert code == 0
+    assert out == "".join(f"{t!r}\n" for t in design_compensator(cfg, 15, 0.25, 201).taps)
+    assert built == []
 
 
 # ---------------------------------------------------------------- response
@@ -404,6 +439,24 @@ def test_chipsim_undecodable_trace_is_a_data_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "chipsim", "-N", "1", "-R", "2", "--in", str(infile))
     assert code == 2
     assert err.startswith("cicdec: error: input is not ") and "byte 0xff" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--latency", "0"], "latency must be >= 1, got 0"),
+    (["--rmax", "0"], "bad rate range (1, 0)"),
+    (["--rmax", "2"], "initial rate 4 outside range (1, 2)"),
+])
+def test_chipsim_bad_chip_flags_exit_one(tmp_path, capsys, flags, message):
+    infile, outfile = tmp_path / "trace.txt", tmp_path / "pins.txt"
+    infile.write_text("\n".join(chip_trace_lines([1] * 8)) + "\n")
+    code, out, err = run_cli(
+        capsys, "chipsim", "-N", "2", "-R", "4", "-B", "8", *flags,
+        "--in", str(infile), "--out", str(outfile),
+    )
+    assert code == 1
+    assert err == f"cicdec: error: {message}\n"
+    assert out == ""
+    assert not outfile.exists()
 
 
 # Fields the trace parser accepts, rejects or hands on to the chip model:

@@ -18,6 +18,7 @@ from cicdec import (
     DecimatorState,
     DifferentialDelayWarning,
     InputRangeError,
+    PinInputs,
     WidthError,
     boxcar_power,
     design_compensator,
@@ -73,6 +74,9 @@ def test_large_diff_delay_warns_but_builds():
         warnings.simplefilter("always")
         DecimatorState(cfg)
         ChipModel(cfg)
+        # a programmable chip derives a config per rate (its width at r_max,
+        # and one at each rate load) from the one already built
+        ChipModel(cfg, rate_range=(1, 8)).tick(PinInputs(we=True, ldin=5))
         reference_decimate(cfg, [1] * 48)
         null_frequencies(cfg)
         design_compensator(cfg, 15, 0.25)
