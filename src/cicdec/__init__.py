@@ -7,7 +7,6 @@ from .core import (
     DecimatorState,
     DifferentialDelayWarning,
     InputRangeError,
-    WidthError,
     boxcar_power,
     gain,
     reference_decimate,
@@ -42,7 +41,6 @@ __all__ = [
     "DecimatorState",
     "DifferentialDelayWarning",
     "InputRangeError",
-    "WidthError",
     "boxcar_power",
     "gain",
     "reference_decimate",

@@ -52,8 +52,10 @@ class ChipModel:
 
     `latency` models the registers between comb-chain completion and `dout`
     visibility; it defaults to one register per stage plus an output
-    register.  With a programmable rate range the register width is sized
-    for the largest allowed rate, so rate changes never need a resize.
+    register.  `width` is the register width the chip is built with: sized
+    for the largest allowed rate when the rate is programmable.  The core
+    runs at each loaded rate's own `required_width`, which gives the same
+    outputs.
     """
 
     def __init__(
@@ -78,7 +80,7 @@ class ChipModel:
                     f"initial rate {config.rate} outside range {rate_range}"
                 )
         self.width = required_width(_at_rate(config, r_max))
-        self.core = DecimatorState(config, width=self.width)
+        self.core = DecimatorState(config)
         # outputs in flight, newest on the left; a full deque drops the
         # rightmost (oldest) entry on each appendleft
         self._queue = deque([None] * latency, maxlen=latency)
@@ -102,7 +104,7 @@ class ChipModel:
                 )
             # Load beats nd this cycle; the core flushes but in-flight
             # outputs keep draining through the delay queue.
-            self.core = DecimatorState(_at_rate(self.core.config, pins.ldin), self.width)
+            self.core = DecimatorState(_at_rate(self.core.config, pins.ldin))
             rfd = False
         elif pins.nd:
             emitted = self.core.push(pins.din)

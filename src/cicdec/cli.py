@@ -25,7 +25,6 @@ from .core import (
     ConfigError,
     DecimatorState,
     InputRangeError,
-    WidthError,
     gain,
     required_width,
 )
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, WidthError, DomainError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"cicdec: error: {exc}", file=sys.stderr)
         return 1
     except (DataError, InputRangeError, ProtocolError, OSError) as exc:

@@ -109,12 +109,10 @@ def composite_response(
     )
 
 
-def passband_deviation_db(
-    config: CicConfig, fir: FirFilter, fp_out: float, grid_size: int = 1001
-) -> float:
-    """Max |dB| of the cascade over [0, fp_out] at the output rate."""
+def passband_deviation_db(config: CicConfig, fir: FirFilter, fp_out: float) -> float:
+    """Max |dB| of the cascade over [0, fp_out] at the output rate, on 1001 points."""
     if not 0.0 < fp_out < 0.5:
         raise DomainError(f"fp_out {fp_out} outside (0, 0.5)")
-    g = uniform_grid(fp_out, grid_size)
+    g = uniform_grid(fp_out, 1001)
     level = magnitude(config, g / config.rate) * np.abs(fir.response_at(g))
     return float(np.abs(to_db(level)).max())

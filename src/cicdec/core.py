@@ -21,10 +21,6 @@ class ConfigError(ValueError):
     """A filter parameter is out of its allowed range."""
 
 
-class WidthError(ValueError):
-    """A register width override is too small for the configuration."""
-
-
 class InputRangeError(ValueError):
     """An input sample does not fit the configured signed input width."""
 
@@ -99,18 +95,9 @@ class DecimatorState:
     interleaved freely.
     """
 
-    def __init__(self, config: CicConfig, width: int | None = None):
-        min_width = required_width(config)
-        if width is None:
-            width = min_width
-        elif width < min_width:
-            raise WidthError(
-                f"width {width} is below the {min_width} bits required for "
-                f"N={config.stages} R={config.rate} M={config.diff_delay} "
-                f"B={config.input_bits}"
-            )
+    def __init__(self, config: CicConfig):
         self.config = config
-        self.width = width
+        self.width = width = required_width(config)
         self._in_min = -(1 << (config.input_bits - 1))
         self._in_max = (1 << (config.input_bits - 1)) - 1
         # One W-bit wrap rule, ((v + half) & mask) - half, for ints and arrays.

@@ -137,6 +137,29 @@ def test_in_flight_outputs_survive_a_rate_load():
     assert gated_douts(outs) == [11]
 
 
+def test_rate_loads_across_the_64_bit_boundary_stay_exact():
+    # B = 55: the core runs at W = 64, 73 and 58 for rates 8, 64 and 2, on
+    # both sides of the int64 limit, and the chip is sized for r_max = 64.
+    # A long run of the most negative sample drives each segment's output to
+    # -gain * 2**54, the one value that needs every bit of W.
+    cfg = CicConfig(3, 8, 1, 55)
+    chip = ChipModel(cfg, rate_range=(1, 64))
+    assert chip.width == 73
+    lo, hi = signed_range(cfg.input_bits)
+    rng = random.Random(7)
+    trace, expected = [], []
+    for rate, count in [(8, 64), (64, 256), (2, 32)]:
+        if rate != cfg.rate:
+            trace.append(PinInputs(ldin=rate, we=True))
+        samples = [lo] * (3 * count // 4)
+        samples += [rng.choice((lo, hi, rng.randint(lo, hi))) for _ in range(count // 4)]
+        trace += dense_feed(samples)
+        expected += reference_decimate(dataclasses.replace(cfg, rate=rate), samples)
+    outs = run_trace(chip, trace + idle(chip.latency))
+    assert gated_douts(outs) == expected
+    assert chip.core.width == 58
+
+
 def test_write_enable_on_fixed_chip_is_an_error():
     chip = ChipModel(CicConfig(2, 4, 1, 8))
     with pytest.raises(ProtocolError):

@@ -105,8 +105,6 @@ def test_tiny_design_grid_rejected():
         design_compensator(BENCH, 15, 0.25, grid_size=1)
     with pytest.raises(DomainError):
         composite_response(BENCH, FirFilter([1.0]), 1)
-    with pytest.raises(DomainError):
-        passband_deviation_db(BENCH, FirFilter([1.0]), 0.25, grid_size=1)
 
 
 @given(

@@ -19,7 +19,6 @@ from cicdec import (
     DifferentialDelayWarning,
     InputRangeError,
     PinInputs,
-    WidthError,
     boxcar_power,
     design_compensator,
     gain,
@@ -220,9 +219,6 @@ def test_one_bit_input_range_is_minus_one_and_zero():
 def test_width_override_must_cover_growth():
     cfg = CicConfig(2, 50, 1, 16)
     assert DecimatorState(cfg).width == required_width(cfg)
-    assert DecimatorState(cfg, width=40).width == 40
-    with pytest.raises(WidthError):
-        DecimatorState(cfg, width=required_width(cfg) - 1)
 
 
 def test_empty_block_leaves_state_unchanged():
@@ -399,14 +395,15 @@ def test_block_rejects_non_integer_arrays(block):
         DecimatorState(CicConfig(2, 4, 1, 8)).process_block(block)
 
 
-@pytest.mark.parametrize("width", [None, 70])  # int64 and object block paths
-def test_rejected_block_leaves_state_unchanged(width):
-    cfg = CicConfig(2, 4, 2, 8)
-    state, twin = DecimatorState(cfg, width), DecimatorState(cfg, width)
+@pytest.mark.parametrize("bits", [8, 62])  # W = 14 (int64 path) and W = 68 (object path)
+def test_rejected_block_leaves_state_unchanged(bits):
+    cfg = CicConfig(2, 4, 2, bits)
+    state, twin = DecimatorState(cfg), DecimatorState(cfg)
     state.process_block([7, -3, 100, 5, 9])
     twin.process_block([7, -3, 100, 5, 9])
     before = engine_state(state)
-    for bad in ([1, 2, 3, 128], np.array([1, 2, -129], np.int16), [1, True], [0.5]):
+    lo, hi = signed_range(bits)
+    for bad in ([1, 2, 3, hi + 1], np.array([1, 2, lo - 1], np.int64), [1, True], [0.5]):
         with pytest.raises(InputRangeError):
             state.process_block(bad)
         assert engine_state(state) == before
@@ -415,13 +412,15 @@ def test_rejected_block_leaves_state_unchanged(width):
 
 
 def test_block_and_push_share_state_at_width_override():
-    cfg = CicConfig(3, 5, 2, 12)
-    block = [(-1) ** i * (i * 97 % 2048) for i in range(200)]
-    for width in (required_width(cfg), 64, 65, 90):
-        state = DecimatorState(cfg, width=width)
+    base = [(-1) ** i * (i * 97 % 2048) for i in range(200)]
+    for bits in (12, 54, 55, 80):  # W = 22, 64, 65 and 90
+        cfg = CicConfig(3, 5, 2, bits)
+        block = [x << (bits - 12) for x in base]  # near full scale at every B
+        state = DecimatorState(cfg)
+        assert state.width == bits + 10
         outs = state.process_block(block[:33])
         outs += [y for y in map(state.push, block[33:71]) if y is not None]
-        outs += state.process_block(np.array(block[71:], dtype=np.int16))
+        outs += state.process_block(np.array(block[71:], dtype=np.int64 if bits < 64 else object))
         assert outs == reference_decimate(cfg, block)
 
 
