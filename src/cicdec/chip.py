@@ -6,6 +6,11 @@ data) are high.  Outputs appear on `dout` with a one-cycle `rdy` pulse after
 a fixed pipeline latency.  Chips built with a programmable rate range accept
 a new decimation factor through `ldin`/`we`; a load takes effect
 immediately, resets the filter core and deasserts `rfd` for that one cycle.
+
+`ChipModel.tick` advances one clock edge and `run_trace` folds it over a
+trace; they are the oracle.  `ChipModel.run` takes whole pin arrays and
+gives the same pins and state: between two rate loads the core is one plain
+CIC stream, so each such segment is one `process_block` call.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .core import CicConfig, DecimatorState, DifferentialDelayWarning, required_width
 
@@ -26,6 +33,23 @@ def _at_rate(config: CicConfig, rate: int) -> CicConfig:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DifferentialDelayWarning)
         return replace(config, rate=rate)
+
+
+def _pin_values(values) -> np.ndarray:
+    """An array as given; any other sequence as Python objects, exactly."""
+    return values if isinstance(values, np.ndarray) else np.array(list(values), dtype=object)
+
+
+def _all_within(values: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether every element is a (non-bool) integer in [lo, hi]."""
+    if values.dtype == object:
+        values = values.tolist()
+        if set(map(type, values)) - {int}:
+            return False  # numpy scalars, bools and the rest go to the oracle
+        return not values or lo <= min(values) and max(values) <= hi
+    if values.dtype.kind not in "iu":
+        return False
+    return not values.size or lo <= int(values.min()) and int(values.max()) <= hi
 
 
 @dataclass(frozen=True)
@@ -114,6 +138,83 @@ class ChipModel:
         if exiting is not None:
             self._dout = exiting
         return PinOutputs(dout=self._dout, rdy=exiting is not None, rfd=rfd)
+
+    def run(self, nd, din, we, ldin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance one clock edge per element of the pin arrays.
+
+        `nd` and `we` are boolean arrays; `din` and `ldin` are integer
+        arrays or sequences of Python ints, all of one length.  Returns the
+        `(rdy, dout, rfd)` arrays (`dout` is int64 while `width` fits it,
+        Python ints above) and leaves the state that folding `tick` over the
+        same cycles would, so a trace may be split over several calls and
+        interleaved with `tick`.  Each cycle is checked before any state
+        changes; if one is invalid, the cycles are folded through
+        `run_trace`, which raises its ProtocolError, cycle index and state.
+        """
+        nd = np.asarray(nd, dtype=bool)
+        we = np.asarray(we, dtype=bool)
+        din, ldin = _pin_values(din), _pin_values(ldin)
+        n = len(nd)
+        if not len(din) == len(we) == len(ldin) == n:
+            raise ValueError("pin arrays differ in length")
+        accepted = nd & ~we
+        loads_ok = not we.any() or (
+            self.programmable and _all_within(ldin[we], *self.rate_range)
+        )
+        # every core of this chip takes the same B-bit input range
+        in_range = (self.core._in_min, self.core._in_max)
+        if not (loads_ok and _all_within(din[accepted], *in_range)):
+            return self._run_ticks(nd, din, we, ldin)
+
+        # Each segment between loads is one block; an output is emitted on
+        # the nd cycle of its segment's R-th, 2R-th, ... accepted sample,
+        # counted from the core's phase.
+        taken = np.flatnonzero(accepted)
+        emit_cycles, emitted = [], []
+        start = 0
+        for end in [*np.flatnonzero(we).tolist(), n]:
+            idx = taken[np.searchsorted(taken, start):np.searchsorted(taken, end)]
+            rate, phase = self.core.config.rate, self.core.phase
+            emit_cycles.append(idx[rate - 1 - phase :: rate])
+            emitted += self.core.process_block(din[idx])
+            if end < n:
+                self.core = DecimatorState(_at_rate(self.core.config, int(ldin[end])))
+            start = end + 1
+        emit_cycles = np.concatenate(emit_cycles)
+
+        # Queue slot k (oldest first) exits on cycle k, an output emitted on
+        # cycle c exits on c + latency; dout holds the last exit.
+        queued = list(reversed(self._queue))
+        slots = [k for k, y in enumerate(queued) if y is not None]
+        exits = np.concatenate((np.array(slots, dtype=np.intp), emit_cycles + self.latency))
+        values = [self._dout, *(queued[k] for k in slots), *emitted]
+        done = int(np.searchsorted(exits, n))
+        rdy = np.zeros(n, dtype=bool)
+        rdy[exits[:done]] = True
+        dout = np.array(values[:done + 1], dtype=self._dout_dtype)[np.cumsum(rdy)]
+        self._dout = values[done]
+        # Shift the queue by one slot per cycle, as `tick` does.
+        shift = min(n, self.latency)
+        tail = [None] * shift
+        first = int(np.searchsorted(emit_cycles, n - shift))
+        for cycle, y in zip(emit_cycles[first:].tolist(), emitted[first:]):
+            tail[cycle - (n - shift)] = y
+        self._queue.extendleft(tail)
+        return rdy, dout, ~we
+
+    @property
+    def _dout_dtype(self):
+        return np.int64 if self.width <= 64 else object
+
+    def _run_ticks(self, nd, din, we, ldin):
+        """`run` by folding `tick` over the cycles: the oracle's errors and state."""
+        trace = map(PinInputs, din.tolist(), nd.tolist(), ldin.tolist(), we.tolist())
+        outputs = run_trace(self, trace)
+        return (
+            np.array([o.rdy for o in outputs], dtype=bool),
+            np.array([o.dout for o in outputs], dtype=self._dout_dtype),
+            np.array([o.rfd for o in outputs], dtype=bool),
+        )
 
 
 def run_trace(chip: ChipModel, trace) -> list[PinOutputs]:

@@ -2,9 +2,10 @@
 
 File formats are line-oriented decimal text: sample files hold one signed
 integer per line (``#`` starts a comment line), pin traces hold one cycle
-per line as ``nd din we ldin`` with ``-`` for don't-care fields, and
-response tables are CSV with an ``f,mag_db,phase_rad`` header, formatted
-and written `_ROWS_PER_WRITE` rows at a time.  Every command accepts ``-``
+per line as ``nd din we ldin`` with ``-`` for don't-care fields, pin dumps
+one ``cycle rdy dout rfd`` row per cycle, and response tables are CSV with
+an ``f,mag_db,phase_rad`` header; tables and dumps are formatted and
+written `_ROWS_PER_WRITE` rows at a time.  Every command accepts ``-``
 for stdin/stdout.  Exit codes: 0 ok, 1 usage or flag error, 2
 file/parse/range error (text that does not decode included).
 """
@@ -36,7 +37,7 @@ from .analysis import (
     response_curve,
 )
 from .compensator import design_compensator, passband_deviation_db
-from .chip import ChipModel, PinInputs, ProtocolError, run_trace
+from .chip import ChipModel, PinInputs, ProtocolError
 from .sdm import OUTPUT_BITS, SigmaDeltaModulator
 
 
@@ -44,12 +45,18 @@ from .sdm import OUTPUT_BITS, SigmaDeltaModulator
 #: the input is never held in memory whole.
 _CHUNK_CHARS = 1 << 20
 
-#: Response-table rows formatted per write, so the formatting tuple never
-#: holds the whole table.
+#: Response-table and pin-dump rows formatted per write, so the formatting
+#: tuple never holds the whole table.
 _ROWS_PER_WRITE = 4096
 
 # A comment line with the newline before it (see `_parse_chunk`).
 _COMMENT_LINE = re.compile(r"\n#[^\n]*")
+
+# A pin-trace line `_read_trace` takes in one pass: single spaces, 1 to 18
+# ASCII digits, and a `-` din or ldin only where nd or we is low.  Lines are
+# checked by deleting every match (one `fullmatch` over the whole trace
+# keeps a backtracking stack that grows with the line count).
+_TRACE_LINE = re.compile(r"(?:[01-] -?[0-9]{1,18}|[0-] -) (?:[01-] [0-9]{1,18}|[0-] -)\n")
 
 
 class DataError(Exception):
@@ -176,6 +183,36 @@ def _parse_trace(fh) -> list[PinInputs]:
     return trace
 
 
+def _read_trace(fh) -> np.ndarray:
+    """The trace as an (n, 4) array of `nd din we ldin` columns, `-` as 0.
+
+    Canonical lines and ``#`` comment lines are parsed in one pass on the
+    bytes; any other text goes through `_parse_trace`, the only source of
+    trace DataErrors, and comes back as Python ints in an object array.
+    """
+    lines = []
+    try:
+        lines.extend(fh)
+    except UnicodeDecodeError:
+        # `_parse_trace` reading `fh` would report a bad line read before it
+        _parse_trace(lines)
+        raise
+    text = "".join(lines)
+    if "#" in text:
+        text = _COMMENT_LINE.sub("", "\n" + text)[1:]
+    if not text:
+        return np.zeros((0, 4), dtype=np.int64)
+    if not text.endswith("\n"):
+        text += "\n"
+    if text.isascii() and not _TRACE_LINE.sub("", text):
+        a = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8)
+        dash = np.flatnonzero(a == ord("-"))
+        a[dash[a[dash + 1] < ord("0")]] = ord("0")  # a lone `-`, not a sign
+        return np.fromstring(a.tobytes(), dtype=np.int64, sep=" ").reshape(-1, 4)
+    rows = [(p.nd, p.din, p.we, p.ldin) for p in _parse_trace(lines)]
+    return np.array(rows, dtype=object).reshape(-1, 4)
+
+
 def _parse_flag(token: str) -> bool:
     if token in ("-", "0"):
         return False
@@ -263,17 +300,25 @@ def _cmd_chipsim(args) -> int:
     except ProtocolError as exc:  # --latency or --rmax, not the trace
         raise ConfigError(exc) from exc
     with _open_text(args.infile, "r") as fh:
-        trace = _parse_trace(fh)
-    if trace:
+        trace = _read_trace(fh)
+    if len(trace):
         # drain the pipeline so every in-flight output reaches dout
-        trace = trace + [PinInputs()] * chip.latency
-    outputs = run_trace(chip, trace)
-    rdy_count = 0
+        trace = np.concatenate((trace, np.zeros((chip.latency, 4), dtype=trace.dtype)))
+    nd, din, we, ldin = trace.T
+    nd, we = nd.astype(bool), we.astype(bool)
+    rdy, dout, rfd = chip.run(nd, din, we, ldin)
+    # one row per cycle; as uint8, not bool, the flags format faster
+    columns = (rdy.view(np.uint8), dout, rfd.view(np.uint8))
     with _open_text(args.outfile, "w") as fh:
-        for cycle, pins in enumerate(outputs):
-            rdy_count += pins.rdy
-            fh.write(f"{cycle} {int(pins.rdy)} {pins.dout} {int(pins.rfd)}\n")
-    print(f"rdy_count={rdy_count}", file=sys.stderr)
+        for start in range(0, len(rdy), _ROWS_PER_WRITE):
+            stop = min(start + _ROWS_PER_WRITE, len(rdy))
+            block = np.column_stack((np.arange(start, stop), *(c[start:stop] for c in columns)))
+            fh.write("%d %d %d %d\n" * (stop - start) % tuple(block.ravel().tolist()))
+    print(
+        f"rdy_count={np.count_nonzero(rdy)} rfd_low={np.count_nonzero(~rfd)} "
+        f"nd_dropped={np.count_nonzero(nd & we)}",
+        file=sys.stderr,
+    )
     return 0
 
 

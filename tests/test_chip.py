@@ -3,6 +3,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -240,3 +241,97 @@ def test_chip_matches_reference_decimator(scenario):
         expected += reference_decimate(dataclasses.replace(cfg, rate=load_rate), post)
     assert gated_douts(outs) == expected
     assert sum(not o.rfd for o in outs) == (load_rate is not None)
+
+
+# ---------------------------------------------------------------- array path
+
+
+@st.composite
+def pin_run_scenario(draw):
+    """A chip, a pin trace with at most one fault, and how to split it."""
+    kind = draw(st.sampled_from(["small", "straddle", "wide"]))
+    if kind == "small":
+        cfg = quiet_config(
+            draw(st.integers(1, 3)), draw(st.integers(1, 6)),
+            draw(st.integers(1, 2)), draw(st.integers(4, 8)),
+        )
+        rate_range = (1, 8)
+    elif kind == "straddle":
+        cfg, rate_range = CicConfig(3, 8, 1, 55), (1, 64)  # cores at W = 55 to 73
+    else:
+        cfg, rate_range = CicConfig(2, 3, 1, 70), (1, 8)  # inputs beyond int64
+    if not draw(st.booleans()):
+        rate_range = None
+    latency = draw(st.integers(1, cfg.stages + 3))
+    lo, hi = signed_range(cfg.input_bits)
+    r_max = rate_range[1] if rate_range else cfg.rate
+    n = draw(st.integers(0, 200))
+    nd = draw(st.lists(st.integers(0, 4).map(bool), min_size=n, max_size=n))
+    din = draw(st.lists(st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi)),
+                        min_size=n, max_size=n))
+    load = st.integers(0, 30).map(lambda k: k == 0 and rate_range is not None)
+    we = draw(st.lists(load, min_size=n, max_size=n))
+    ldin = draw(st.lists(st.integers(1, r_max), min_size=n, max_size=n))
+    fault = draw(st.sampled_from([None, None, "din", "ldin", "we"]))
+    if fault and n:
+        c = draw(st.integers(0, n - 1))
+        if fault == "din":
+            nd[c], we[c], din[c] = True, False, draw(st.sampled_from([lo - 1, hi + 1]))
+        elif fault == "ldin":
+            we[c], ldin[c] = True, draw(st.sampled_from([0, r_max + 1]))
+        else:
+            we[c] = True  # an error on a fixed chip only
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    tick_between = draw(st.booleans())
+    as_array = cfg.input_bits < 64 and draw(st.booleans())
+    return cfg, rate_range, latency, (nd, din, we, ldin), cuts, tick_between, as_array
+
+
+def chip_state(chip):
+    core = chip.core
+    return (core.config, core.samples_in, core.phase, list(chip._queue), chip._dout)
+
+
+@given(pin_run_scenario())
+def test_run_matches_run_trace(scenario):
+    cfg, rate_range, latency, pins, cuts, tick_between, as_array = scenario
+    nd, din, we, ldin = pins
+    trace = [PinInputs(din=d, nd=v, ldin=r, we=w) for v, d, w, r in zip(*pins)]
+    oracle = ChipModel(cfg, latency=latency, rate_range=rate_range)
+    chip = ChipModel(cfg, latency=latency, rate_range=rate_range)
+    steps, start = [], 0
+    for cut in cuts + [len(trace)]:
+        if tick_between and start and start < cut:
+            steps.append((start, start + 1, "tick"))
+            start += 1
+        steps.append((start, cut, "run"))
+        start = max(start, cut)
+    for lo, hi, how in steps:
+        want = got = None
+        if how == "tick":
+            try:
+                want = [oracle.tick(trace[lo])]
+            except ValueError as exc:
+                want = exc
+            try:
+                got = [chip.tick(trace[lo])]
+            except ValueError as exc:
+                got = exc
+        else:
+            try:
+                want = run_trace(oracle, trace[lo:hi])
+            except ProtocolError as exc:
+                want = exc
+            as_pins = np.array if as_array else list
+            try:
+                rdy, dout, rfd = chip.run(np.array(nd[lo:hi], dtype=bool), as_pins(din[lo:hi]),
+                                          we[lo:hi], as_pins(ldin[lo:hi]))
+                got = [PinOutputs(dout=d, rdy=r, rfd=f)
+                       for r, d, f in zip(rdy.tolist(), dout.tolist(), rfd.tolist())]
+            except ProtocolError as exc:
+                got = exc
+        assert chip_state(chip) == chip_state(oracle)
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        assert got == want

@@ -8,16 +8,20 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cicdec import (
+    ChipModel,
     CicConfig,
+    PinInputs,
+    ProtocolError,
     cli,
     design_compensator,
     gain,
     magnitude,
     phase,
     reference_decimate,
+    run_trace,
     to_db,
 )
-from cicdec.cli import DataError, _read_samples, main
+from cicdec.cli import DataError, _parse_trace, _read_samples, main
 from helpers import quiet_config
 
 
@@ -396,6 +400,20 @@ def test_chipsim_rate_load_requires_rmax(tmp_path, capsys):
     assert douts == expected
 
 
+def test_chipsim_reports_protocol_counters(tmp_path, capsys):
+    # 8 nd cycles, the 4th also a rate load: its sample never reaches the core
+    infile = tmp_path / "trace.txt"
+    lines = chip_trace_lines([1, 2, 3]) + ["1 4 1 2"] + chip_trace_lines([5, 6, 7, 8])
+    infile.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        capsys, "chipsim", "-N", "1", "-R", "2", "-B", "8", "--rmax", "4", "--in", str(infile),
+    )
+    assert code == 0
+    assert err == "rdy_count=3 rfd_low=1 nd_dropped=1\n"
+    douts = [int(row.split()[2]) for row in out.splitlines() if row.split()[1] == "1"]
+    assert douts == [3, 11, 15]
+
+
 def test_chipsim_malformed_line(tmp_path, capsys):
     infile = tmp_path / "trace.txt"
     infile.write_text("1 5 0\n")
@@ -479,28 +497,67 @@ TRACE_LINE = st.one_of(
 INVALID_UTF8 = [b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80", b"\xf0\x9f"]
 
 
+def chipsim_oracle(infile, bits, rmax):
+    """Exit code, stderr and pin dump by `_parse_trace`, `run_trace` and a line writer."""
+    rate_range = (1, int(rmax[1])) if rmax else None
+    chip = ChipModel(CicConfig(2, 3, 1, bits), rate_range=rate_range)
+    try:
+        with open(infile) as fh:
+            trace = _parse_trace(fh)
+        if trace:
+            trace += [PinInputs()] * chip.latency
+        outputs = run_trace(chip, trace)
+    except (DataError, ProtocolError) as exc:
+        return 2, f"cicdec: error: {exc}\n", None
+    except UnicodeDecodeError as exc:
+        return 2, (f"cicdec: error: input is not {exc.encoding} text: byte "
+                   f"{exc.object[exc.start]:#04x}: {exc.reason}\n"), None
+    dump = "".join(f"{c} {int(o.rdy)} {o.dout} {int(o.rfd)}\n" for c, o in enumerate(outputs))
+    counts = (f"rdy_count={sum(o.rdy for o in outputs)} "
+              f"rfd_low={sum(not o.rfd for o in outputs)} "
+              f"nd_dropped={sum(p.nd and p.we for p in trace)}\n")
+    return 0, counts, dump
+
+
 @given(
     lines=st.lists(TRACE_LINE, max_size=30),
     newline=st.sampled_from(["\n", "\r\n"]),
     bad_bytes=st.one_of(st.just(b""), st.sampled_from(INVALID_UTF8)),
     bad_at=st.integers(0, 2000),
     rmax=st.sampled_from([[], ["--rmax", "16"]]),
+    bits=st.sampled_from([8, 70]),
 )
 @example(lines=["1 5 0 -", "0 - 1 4"], newline="\n", bad_bytes=b"\xff", bad_at=8,
-         rmax=["--rmax", "16"])
+         rmax=["--rmax", "16"], bits=8)
+# a bad line before a sequence cut off at the end of the file is reported first
+@example(lines=["1 5 0 - # note"], newline="\n", bad_bytes=b"\xf0\x9f", bad_at=2000,
+         rmax=[], bits=8)
+# canonical-looking lines that only the line parser may reject or read
+@example(lines=["1 5 0 -", "1 - 0 -"], newline="\n", bad_bytes=b"", bad_at=0,
+         rmax=["--rmax", "16"], bits=8)
+@example(lines=["1 5 0 -", "0 - 1 -"], newline="\n", bad_bytes=b"", bad_at=0,
+         rmax=["--rmax", "16"], bits=8)
+@example(lines=["1 9999999999999999999 0 -"] * 3, newline="\n", bad_bytes=b"", bad_at=0,
+         rmax=[], bits=70)
 def test_chipsim_any_trace_exits_cleanly(tmp_path_factory, lines, newline, bad_bytes,
-                                         bad_at, rmax):
+                                         bad_at, rmax, bits):
     data = newline.join(lines).encode() + newline.encode()
     at = min(bad_at, len(data))
     infile = tmp_path_factory.getbasetemp() / "fuzz_trace.txt"
     infile.write_bytes(data[:at] + bad_bytes + data[at:])
+    outfile = tmp_path_factory.getbasetemp() / "fuzz_pins.txt"
+    outfile.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["chipsim", "-N", "2", "-R", "3", "-B", "8", *rmax, "--in", str(infile)])
+        code = main(["chipsim", "-N", "2", "-R", "3", "-B", str(bits), *rmax,
+                     "--in", str(infile), "--out", str(outfile)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().startswith("cicdec: error: ")
+    dump = outfile.read_text() if outfile.exists() else None
+    assert (code, err.getvalue(), dump) == chipsim_oracle(infile, bits, rmax)
+    assert out.getvalue() == ""
 
 
 # ---------------------------------------------------------------- sdm
