@@ -5,9 +5,12 @@ integer per line (``#`` starts a comment line), pin traces hold one cycle
 per line as ``nd din we ldin`` with ``-`` for don't-care fields, pin dumps
 one ``cycle rdy dout rfd`` row per cycle, and response tables are CSV with
 an ``f,mag_db,phase_rad`` header; tables and dumps are formatted and
-written `_ROWS_PER_WRITE` rows at a time.  Every command accepts ``-``
-for stdin/stdout.  Exit codes: 0 ok, 1 usage or flag error, 2
-file/parse/range error (text that does not decode included).
+written `_ROWS_PER_WRITE` rows at a time.  Response tables read exactly as
+``'%.12g' %`` prints each value, but are formatted as byte arrays
+(`_format_rows`), with ``'%.12g' %`` as the oracle for the few values the
+arrays cannot vouch for.  Every command accepts ``-`` for stdin/stdout.
+Exit codes: 0 ok, 1 usage or flag error, 2 file/parse/range error (text
+that does not decode included).
 """
 
 from __future__ import annotations
@@ -41,13 +44,21 @@ from .chip import ChipModel, PinInputs, ProtocolError
 from .sdm import OUTPUT_BITS, SigmaDeltaModulator
 
 
-#: Characters `decimate` reads at a time, rounded up to the next line end, so
-#: the input is never held in memory whole.
+#: Characters (bytes, from a file) `decimate` reads at a time, rounded up to
+#: the next line end, so the input is never held in memory whole.
 _CHUNK_CHARS = 1 << 20
 
 #: Response-table and pin-dump rows formatted per write, so the formatting
-#: tuple never holds the whole table.
+#: buffers never hold the whole table.
 _ROWS_PER_WRITE = 4096
+
+# 10**k for k = 0..15 (each exact as a double) and, as int64, k = 0..16;
+# from Python ints, as a ufunc's first buffered call at import costs RSS.
+_POW10 = np.array([float(10**k) for k in range(16)])
+_INT_POW10 = np.array([10**k for k in range(17)], dtype=np.int64)
+
+# Offsets of the runs in `_digit_groups` after the first, which has every digit.
+_LEAD, _TRAIL, _LAST = 10_000, 20_000, 30_000
 
 # A comment line with the newline before it (see `_parse_chunk`).
 _COMMENT_LINE = re.compile(r"\n#[^\n]*")
@@ -139,12 +150,45 @@ def _parse_chunk(text: str, bits: int) -> np.ndarray | None:
     return values
 
 
+def _line_chunks(fh):
+    """Yield the text of `fh` in chunks of whole lines.
+
+    A file is read as bytes and decoded a chunk at a time, with universal
+    newlines as ``open`` reads text.  If a chunk does not decode, its whole
+    lines before the undecodable byte are yielded first, so a bad line among
+    them is the error reported, and then the decode error is raised.  (The
+    text layer loses everything it decoded in a ``read`` that fails.)
+    """
+    raw = getattr(fh, "buffer", None)
+    if raw is None:  # already text, e.g. io.StringIO
+        while text := fh.read(_CHUNK_CHARS):
+            if not text.endswith("\n"):
+                text += fh.readline()
+            yield text
+        return
+    while data := raw.read(_CHUNK_CHARS):
+        if not data.endswith(b"\n"):
+            data += raw.readline()
+        try:
+            text = data.decode(fh.encoding, fh.errors)
+        except UnicodeDecodeError as exc:
+            head = data[:data.rfind(b"\n", 0, exc.start) + 1]
+            yield _universal_newlines(head.decode(fh.encoding, fh.errors))
+            raise
+        del data  # the caller parses the text; the bytes need not stay alive
+        yield _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _sample_chunks(fh, bits: int):
     """Yield the samples of `fh` chunk by chunk, each chunk whole lines."""
     line_no = 1
-    while text := fh.read(_CHUNK_CHARS):
-        if not text.endswith("\n"):
-            text += fh.readline()
+    for text in _line_chunks(fh):
         values = _parse_chunk(text, bits)
         if values is None:
             lines = text.split("\n")  # the lines iterating `fh` would give
@@ -213,6 +257,116 @@ def _read_trace(fh) -> np.ndarray:
     return np.array(rows, dtype=object).reshape(-1, 4)
 
 
+@functools.cache  # built on the first response table, then reused
+def _digit_groups() -> np.ndarray:
+    """The 4-digit ASCII groups of 0 to 9999 as uint32, in four runs.
+
+    The first run has every digit, `_LEAD` blanks leading zeros (all four
+    for 0), `_TRAIL` blanks trailing zeros (all four for 0), and `_LAST` is
+    `_LEAD` with the last digit of 0 kept.  A blank is a NUL byte.
+    """
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).reshape(-1, 4)
+    nonzero, blank = digits > ord("0"), np.uint8(0)
+    lead = np.where(np.logical_or.accumulate(nonzero, axis=1), digits, blank)
+    trail = np.where(np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1], digits, blank)
+    last = lead.copy()
+    last[0, 3] = ord("0")
+    runs = np.stack((digits, lead, trail, last))
+    return runs.reshape(-1, 4).view(np.uint32).ravel()
+
+
+def _fixed_point(x: np.ndarray):
+    """Integer part, fraction digits and oracle mask of ``'%.12g' % x``.
+
+    Returns `whole` (below 1e12), `frac` (the fraction digits left-aligned
+    in 16, so below 1e16) and `oracle`, true where the value is to go to
+    ``'%.12g' %`` instead: not printed in fixed notation, ±0, or a 12-digit
+    mantissa that is not certain.
+    """
+    # The mantissa m = rint(|x| * 10**k), k = 11 - e, from e = floor(log10|x|).
+    # For e in [-4, 11] (fixed notation) 10**k is exact, so s is within 2**-13
+    # of the exact product, and m is the correctly rounded 12-digit mantissa
+    # when 1e11 < m < 1e12 (which also rules out a misjudged e) and s is
+    # less than 0.499 from m (no tie, nor anything within 1e-3 of one).
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0, nan, inf
+        e = np.floor(np.log10(a))
+    other = ~((e >= -4) & (e <= 11))
+    np.copyto(a, 1.0, where=other)
+    np.copyto(e, 0.0, where=other)
+    k = (11 - e).astype(np.intp)
+    unit = _POW10[k]
+    s = a * unit
+    m = np.rint(s)
+    oracle = other | (np.abs(s - m) >= 0.499) | (m <= 1e11) | (m >= 1e12)
+    whole = np.floor(m / unit)  # exact: every operand is an integer below 2**53
+    frac = (m - whole * unit).astype(np.int64) * _INT_POW10[16 - k]
+    return whole.astype(np.int64), frac, oracle
+
+
+def _whole_groups(whole: np.ndarray):
+    """`_digit_groups` indices of `whole` < 1e12 in three groups of 4 digits.
+
+    Leading zeros are blank, and 0 prints as ``0``.
+    """
+    w0 = whole // 10**8
+    w12 = whole - w0 * 10**8
+    w1 = w12 // 10**4
+    w2 = w12 - w1 * 10**4
+    return w0 + _LEAD, w1 + _LEAD * (whole < 10**8), w2 + _LAST * (whole < 10**4)
+
+
+def _frac_groups(frac: np.ndarray):
+    """`_digit_groups` indices of `frac` < 1e16 in four groups of 4 digits.
+
+    Trailing zeros are blank.
+    """
+    f01 = frac // 10**8
+    f23 = frac - f01 * 10**8
+    f0, f2 = f01 // 10**4, f23 // 10**4
+    f1, f3 = f01 - f0 * 10**4, f23 - f2 * 10**4
+    return (f0 + _TRAIL * ((f1 | f23) == 0), f1 + _TRAIL * (f23 == 0),
+            f2 + _TRAIL * (f3 == 0), f3 + _TRAIL)
+
+
+def _format_rows(table: np.ndarray) -> str:
+    """One line of comma-separated ``'%.12g'`` fields per row of `table`.
+
+    Byte for byte what ``%``-formatting the rows one value at a time gives.
+    Each value fills a 31-byte field: sign, 12 integer digits right-aligned,
+    point, 16 fraction digits left-aligned, separator, with NUL for every
+    blank; the NULs are deleted at the end.  The values `_fixed_point`
+    cannot vouch for are formatted by ``'%.12g' %`` itself and spliced in.
+    """
+    cols = table.shape[1]
+    x = table.ravel()
+    # (in helpers, so that each one's temporaries are freed before the next runs)
+    whole, frac, oracle = _fixed_point(x)
+    buf = np.zeros((x.size, 31), dtype=np.uint8)
+    buf[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    buf[:, 13] = (frac != 0) * np.uint8(ord("."))
+    buf[:, 30] = ord(",")
+    buf[cols - 1::cols, 30] = ord("\n")
+    lut = _digit_groups()
+    # mode="clip" only skips a bounds-check copy: every index is in range
+    digits = buf[:, 1:13].view(np.uint32)
+    for i, index in enumerate(_whole_groups(whole)):
+        np.take(lut, index, out=digits[:, i], mode="clip")
+    digits = buf[:, 14:30].view(np.uint32)
+    for i, index in enumerate(_frac_groups(frac)):
+        np.take(lut, index, out=digits[:, i], mode="clip")
+
+    where = np.flatnonzero(oracle)
+    if where.size:
+        text = "%.12g\n" * where.size % tuple(x[where].tolist())
+        fields = np.zeros((where.size, 30), dtype=np.uint8)
+        # the widest '%.12g' output is 19 bytes: -1.23456789012e-308
+        fields[:, :19] = np.array(text.split(), dtype="S19").view(np.uint8).reshape(-1, 19)
+        buf[where, :30] = fields
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _parse_flag(token: str) -> bool:
     if token in ("-", "0"):
         return False
@@ -265,12 +419,12 @@ def _cmd_decimate(args) -> int:
 def _cmd_response(args) -> int:
     config = _config_from(args, bits=False)
     curve = response_curve(config, args.grid)
-    table = np.column_stack((curve.freqs, curve.mag_db, curve.phase_rad))
+    columns = (curve.freqs, curve.mag_db, curve.phase_rad)
     with _open_text(args.outfile, "w") as fh:
         fh.write("f,mag_db,phase_rad\n")
-        for start in range(0, len(table), _ROWS_PER_WRITE):
-            block = table[start:start + _ROWS_PER_WRITE]
-            fh.write("%.12g,%.12g,%.12g\n" * len(block) % tuple(block.ravel().tolist()))
+        for start in range(0, len(curve.freqs), _ROWS_PER_WRITE):
+            block = np.stack([c[start:start + _ROWS_PER_WRITE] for c in columns], axis=1)
+            fh.write(_format_rows(block))
     if args.fp is not None:
         droop = passband_droop(config, args.fp)
         alias = alias_attenuation(config, args.fp)

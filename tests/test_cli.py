@@ -2,8 +2,10 @@
 
 import contextlib
 import io
+import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -18,10 +20,11 @@ from cicdec import (
     magnitude,
     phase,
     reference_decimate,
+    response_curve,
     run_trace,
     to_db,
 )
-from cicdec.cli import DataError, _parse_trace, _read_samples, main
+from cicdec.cli import DataError, _format_rows, _parse_trace, _read_samples, main
 from helpers import quiet_config
 
 
@@ -155,6 +158,39 @@ def test_decimate_error_in_second_chunk_reports_absolute_line(tmp_path, capsys):
     assert code == 2
     assert f"cicdec: error: line {bad_line}: not an integer: '0x10'" in err
     assert not outfile.exists()  # nothing is written before the input has parsed
+
+
+def test_decimate_reads_universal_newlines(tmp_path, capsys):
+    infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+    infile.write_bytes(b"# crlf\r\n1\r\n2\r3\n\r\n4")
+    code, _, _ = run_cli(
+        capsys, "decimate", "-N", "1", "-R", "1", "--in", str(infile), "--out", str(outfile),
+    )
+    assert code == 0
+    assert outfile.read_text() == "1\n2\n3\n4\n"
+
+
+@pytest.mark.parametrize("data, chunk, message", [
+    # a bad line before undecodable bytes is the error, as line-by-line reading gives
+    (b"x\n\xf0\x9f", None, "line 1: not an integer: 'x'"),
+    (b"x\n\xff", None, "line 1: not an integer: 'x'"),
+    (b"1\r\n2\r\ny\r\n3\xff\r\n", None, "line 3: not an integer: 'y'"),
+    (b"0\n" * 40 + b"y\n\xff\n", 64, "line 41: not an integer: 'y'"),  # second chunk
+    # undecodable bytes before any bad line are the error
+    (b"1\n\xff\nx\n", None, "input is not utf-8 text: byte 0xff: invalid start byte"),
+    (b"1\n2\xf0\x9f\n", None, "input is not utf-8 text: byte 0xf0: invalid continuation byte"),
+], ids=["cut-tail", "bad-byte", "crlf", "second-chunk", "byte-first", "byte-in-line"])
+def test_decimate_reports_the_first_error_in_the_file(tmp_path, capsys, monkeypatch,
+                                                     data, chunk, message):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk)
+    infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+    infile.write_bytes(data)
+    code, out, err = run_cli(
+        capsys, "decimate", "-N", "2", "-R", "2", "--in", str(infile), "--out", str(outfile),
+    )
+    assert (code, out, err) == (2, "", f"cicdec: error: {message}\n")
+    assert not outfile.exists()
 
 
 # Lines the reference parser accepts, skips or rejects; for -B 8 the integers
@@ -297,6 +333,71 @@ def test_response_table_matches_per_point_rows(tmp_path, capsys, stages, rate, d
             assert got[1] == "-300"
         assert abs(float(got[1]) - float(want[1])) <= 1e-9
         assert float(got[2]) == pytest.approx(float(want[2]), rel=1e-11, abs=1e-15)
+
+
+def test_response_table_is_byte_identical_to_percent_formatting(tmp_path, capsys):
+    """The table against one `%` per block of rows on the same arrays.
+
+    The grid spans several write blocks and ends in a partial one, and the
+    table has fields in exponent notation (f < 1e-4, mag_db near 0), a -0
+    phase at f = 0 and -300 at each of the 8 nulls.
+    """
+    grid = 8801
+    rows = cli._ROWS_PER_WRITE
+    assert grid // rows >= 2 and grid % rows
+    outfile = tmp_path / "resp.csv"
+    code, _, _ = run_cli(
+        capsys, "response", "-N", "3", "-R", "8", "-M", "2", "--grid", str(grid),
+        "--out", str(outfile),
+    )
+    assert code == 0
+    curve = response_curve(CicConfig(3, 8, 2), grid)
+    table = np.column_stack((curve.freqs, curve.mag_db, curve.phase_rad))
+    blocks = np.split(table, range(rows, grid, rows))
+    want = "f,mag_db,phase_rad\n" + "".join(
+        "%.12g,%.12g,%.12g\n" * len(b) % tuple(b.ravel().tolist()) for b in blocks
+    )
+    assert outfile.read_bytes() == want.encode()
+    lines = want.splitlines()
+    assert lines[1] == "0,0,-0"
+    assert lines[2].count("e-05") == 2
+    assert sum(",-300," in line for line in lines) == 8
+
+
+# Floats for the table formatter: the whole exponent range (subnormals
+# included), mostly fixed-notation values, and 12-digit mantissas plus a half
+# at every fixed-notation exponent (exact ties at e = 11, near-ties below).
+FORMAT_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e13, 1e13),
+    st.builds(
+        lambda m, e, sign: sign * (m + 0.5) * 10.0 ** (e - 11),
+        st.integers(10**11, 10**12 - 1), st.integers(-4, 11), st.sampled_from([-1, 1]),
+    ),
+)
+POWERS_OF_TEN = [
+    v for p in range(-6, 14) for d in (float(f"1e{p}"),)
+    for v in (d, math.nextafter(d, 0), math.nextafter(d, math.inf), -d)
+]
+
+
+@given(values=st.lists(FORMAT_FLOATS, min_size=1, max_size=60), cols=st.integers(1, 3))
+@example(values=[0.0, -0.0], cols=1)
+@example(values=POWERS_OF_TEN, cols=2)
+# exact ties, which `%` rounds half to even, and near-ties
+@example(values=[100000000000.5, 100000000001.5, 0.5000000000005, 0.00025000000000005],
+         cols=1)
+# rounding that carries into the next power of ten
+@example(values=[9.999999999995, 9.9999999999998, 99999999999.95, 999999999999.5,
+                 999999999999.8, 9.9999999999995e-05, 0.00099999999999998], cols=1)
+# the widest field (19 bytes), the dB floor, subnormal and extreme values
+@example(values=[-1.23456789012e-308, -300.0, 5e-324, -2.5e-320, 1.7976931348623157e308],
+         cols=3)
+def test_format_rows_matches_percent_formatting(values, cols):
+    values = values * cols  # a whole number of rows
+    table = np.array(values).reshape(-1, cols)
+    line = ",".join(["%.12g"] * cols) + "\n"
+    assert _format_rows(table) == line * len(table) % tuple(values)
 
 
 def test_response_minimal_grid(capsys):
