@@ -108,6 +108,9 @@ def uniform_grid(stop: float, size: int) -> np.ndarray:
     """`size` >= 2 points stop*i/(size-1), i = 0..size-1, in that rounding order."""
     if size < 2:
         raise DomainError(f"grid_size must be >= 2, got {size}")
+    limit = np.iinfo(np.intp).max // 8  # the doubles an array can hold
+    if size > limit:
+        raise DomainError(f"grid_size must be <= {limit}, got {size}")
     return stop * np.arange(size) / (size - 1)
 
 

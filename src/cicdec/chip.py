@@ -92,6 +92,8 @@ class ChipModel:
             latency = config.stages + 1
         if latency < 1:
             raise ProtocolError(f"latency must be >= 1, got {latency}")
+        if latency > np.iinfo(np.intp).max:  # the queue's length is an index
+            raise ProtocolError(f"latency must be <= {np.iinfo(np.intp).max}, got {latency}")
         self.latency = latency
         self.rate_range = rate_range
         r_max = config.rate

@@ -2,10 +2,11 @@
 
 File formats are line-oriented decimal text: sample files hold one signed
 integer per line (``#`` starts a comment line), pin traces hold one cycle
-per line as ``nd din we ldin`` with ``-`` for don't-care fields, pin dumps
-one ``cycle rdy dout rfd`` row per cycle, and response tables are CSV with
-an ``f,mag_db,phase_rad`` header; tables and dumps are formatted and
-written `_ROWS_PER_WRITE` rows at a time.  Response tables read exactly as
+per line as ``nd din we ldin`` with ``-`` for don't-care fields; both are
+read by one chunked reader (`_read_chunks`), so the first error in a file
+is the one reported.  Pin dumps hold one ``cycle rdy dout rfd`` row per
+cycle, and response tables are CSV with an ``f,mag_db,phase_rad`` header;
+tables and dumps are formatted and written `_ROWS_PER_WRITE` rows at a time.  Response tables read exactly as
 ``'%.12g' %`` prints each value, but are formatted as byte arrays
 (`_format_rows`), with ``'%.12g' %`` as the oracle for the few values the
 arrays cannot vouch for.  Every command accepts ``-`` for stdin/stdout.
@@ -44,8 +45,8 @@ from .chip import ChipModel, PinInputs, ProtocolError
 from .sdm import OUTPUT_BITS, SigmaDeltaModulator
 
 
-#: Characters (bytes, from a file) `decimate` reads at a time, rounded up to
-#: the next line end, so the input is never held in memory whole.
+#: Characters (bytes, from a file) `decimate` and `chipsim` read at a time,
+#: rounded up to the next line end, so the input is never held in memory whole.
 _CHUNK_CHARS = 1 << 20
 
 #: Response-table and pin-dump rows formatted per write, so the formatting
@@ -60,12 +61,12 @@ _INT_POW10 = np.array([10**k for k in range(17)], dtype=np.int64)
 # Offsets of the runs in `_digit_groups` after the first, which has every digit.
 _LEAD, _TRAIL, _LAST = 10_000, 20_000, 30_000
 
-# A comment line with the newline before it (see `_parse_chunk`).
+# A comment line with the newline before it (see `_read_chunks`).
 _COMMENT_LINE = re.compile(r"\n#[^\n]*")
 
-# A pin-trace line `_read_trace` takes in one pass: single spaces, 1 to 18
+# A pin-trace line `_parse_trace_chunk` takes in one pass: single spaces, 1 to 18
 # ASCII digits, and a `-` din or ldin only where nd or we is low.  Lines are
-# checked by deleting every match (one `fullmatch` over the whole trace
+# checked by deleting every match (one `fullmatch` over a whole chunk
 # keeps a backtracking stack that grows with the line count).
 _TRACE_LINE = re.compile(r"(?:[01-] -?[0-9]{1,18}|[0-] -) (?:[01-] [0-9]{1,18}|[0-] -)\n")
 
@@ -120,20 +121,11 @@ def _read_samples(lines, bits: int, first_line: int = 1) -> list[int]:
 
 
 def _parse_chunk(text: str, bits: int) -> np.ndarray | None:
-    """Parse a chunk of whole lines in one pass, or return None.
+    """The samples of `_read_chunks` text in one pass, or None.
 
-    Takes only ``#`` comment lines and lines of an optional ``-`` followed
-    by 1 to 18 ASCII digits, all in range; for anything else it returns
-    None and the caller hands the chunk to `_read_samples`.
+    Takes only lines of an optional ``-`` followed by 1 to 18 ASCII digits,
+    all in range; for anything else it returns None.
     """
-    if "#" in text:
-        text = _COMMENT_LINE.sub("", "\n" + text)[1:]
-    if not text:
-        return np.zeros(0, dtype=np.int64)
-    if not text.isascii():
-        return None
-    if not text.endswith("\n"):
-        text += "\n"
     a = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     ends = np.flatnonzero(a == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -185,28 +177,41 @@ def _universal_newlines(text: str) -> str:
     return text
 
 
-def _sample_chunks(fh, bits: int):
-    """Yield the samples of `fh` chunk by chunk, each chunk whole lines."""
-    line_no = 1
+def _read_chunks(fh, parse_chunk, parse_lines):
+    """Yield the rows of `fh`, parsed one `_line_chunks` chunk at a time.
+
+    A chunk's ``#`` comment lines are deleted, and a chunk with nothing else
+    yields nothing.  The rest, ending in a newline, goes to the one-pass
+    `parse_chunk` if ASCII; where that returns None, the chunk's lines go to
+    the reference ``parse_lines(lines, first_line, first_row)``, numbered
+    from the start of the file.
+    """
+    line_no, rows = 1, 0
     for text in _line_chunks(fh):
-        values = _parse_chunk(text, bits)
-        if values is None:
-            lines = text.split("\n")  # the lines iterating `fh` would give
-            if not lines[-1]:
-                lines.pop()
-            values = _read_samples(lines, bits, first_line=line_no)
-        yield values
+        body = _COMMENT_LINE.sub("", "\n" + text)[1:] if "#" in text else text
+        if body:
+            if not body.endswith("\n"):
+                body += "\n"
+            values = parse_chunk(body) if body.isascii() else None
+            if values is None:  # (split's empty last item is a blank line to both)
+                values = parse_lines(text.split("\n"), line_no, rows)
+            rows += len(values)
+            yield values
         line_no += text.count("\n")
 
 
-def _parse_trace(fh) -> list[PinInputs]:
+def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0) -> list[PinInputs]:
+    """The reference trace parser, and the only source of trace DataErrors.
+
+    Lines and cycles are numbered from `first_line` and `first_cycle`.
+    """
     trace = []
-    for line_no, raw in enumerate(fh, start=1):
+    for line_no, raw in enumerate(lines, start=first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        cycle = len(trace)
+        cycle = first_cycle + len(trace)
         if len(fields) != 4:
             raise DataError(
                 f"cycle {cycle} (line {line_no}): expected 'nd din we ldin', "
@@ -227,33 +232,23 @@ def _parse_trace(fh) -> list[PinInputs]:
     return trace
 
 
-def _read_trace(fh) -> np.ndarray:
-    """The trace as an (n, 4) array of `nd din we ldin` columns, `-` as 0.
+def _parse_trace_chunk(text: str) -> np.ndarray | None:
+    """The cycles of `_read_chunks` text in one pass, or None.
 
-    Canonical lines and ``#`` comment lines are parsed in one pass on the
-    bytes; any other text goes through `_parse_trace`, the only source of
-    trace DataErrors, and comes back as Python ints in an object array.
+    An (n, 4) array of `nd din we ldin` columns, `-` as 0; takes only
+    `_TRACE_LINE` lines, and for anything else returns None.
     """
-    lines = []
-    try:
-        lines.extend(fh)
-    except UnicodeDecodeError:
-        # `_parse_trace` reading `fh` would report a bad line read before it
-        _parse_trace(lines)
-        raise
-    text = "".join(lines)
-    if "#" in text:
-        text = _COMMENT_LINE.sub("", "\n" + text)[1:]
-    if not text:
-        return np.zeros((0, 4), dtype=np.int64)
-    if not text.endswith("\n"):
-        text += "\n"
-    if text.isascii() and not _TRACE_LINE.sub("", text):
-        a = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8)
-        dash = np.flatnonzero(a == ord("-"))
-        a[dash[a[dash + 1] < ord("0")]] = ord("0")  # a lone `-`, not a sign
-        return np.fromstring(a.tobytes(), dtype=np.int64, sep=" ").reshape(-1, 4)
-    rows = [(p.nd, p.din, p.we, p.ldin) for p in _parse_trace(lines)]
+    if _TRACE_LINE.sub("", text):
+        return None
+    a = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8)
+    dash = np.flatnonzero(a == ord("-"))
+    a[dash[a[dash + 1] < ord("0")]] = ord("0")  # a lone `-`, not a sign
+    return np.fromstring(a.tobytes(), dtype=np.int64, sep=" ").reshape(-1, 4)
+
+
+def _trace_rows(lines, first_line: int, first_cycle: int) -> np.ndarray:
+    """`_parse_trace` as `_parse_trace_chunk` rows of Python ints."""
+    rows = [(p.nd, p.din, p.we, p.ldin) for p in _parse_trace(lines, first_line, first_cycle)]
     return np.array(rows, dtype=object).reshape(-1, 4)
 
 
@@ -402,8 +397,10 @@ def _cmd_decimate(args) -> int:
     config = _config_from(args)
     state = DecimatorState(config)
     outputs = []
+    bits = config.input_bits
     with _open_text(args.infile, "r") as fh:
-        for samples in _sample_chunks(fh, config.input_bits):
+        for samples in _read_chunks(fh, functools.partial(_parse_chunk, bits=bits),
+                                    lambda lines, line, _: _read_samples(lines, bits, line)):
             outputs += state.process_block(samples)
     # written only once the whole input has parsed, so an error leaves no output
     with _open_text(args.outfile, "w") as fh:
@@ -454,11 +451,13 @@ def _cmd_chipsim(args) -> int:
     except ProtocolError as exc:  # --latency or --rmax, not the trace
         raise ConfigError(exc) from exc
     with _open_text(args.infile, "r") as fh:
-        trace = _read_trace(fh)
-    if len(trace):
+        # int64 chunks and object chunks of Python ints join as Python ints
+        chunks = [np.zeros((0, 4), dtype=np.int64),
+                  *_read_chunks(fh, _parse_trace_chunk, _trace_rows)]
+    if sum(map(len, chunks)):
         # drain the pipeline so every in-flight output reaches dout
-        trace = np.concatenate((trace, np.zeros((chip.latency, 4), dtype=trace.dtype)))
-    nd, din, we, ldin = trace.T
+        chunks.append(np.zeros((chip.latency, 4), dtype=np.int64))
+    nd, din, we, ldin = np.concatenate(chunks).T
     nd, we = nd.astype(bool), we.astype(bool)
     rdy, dout, rfd = chip.run(nd, din, we, ldin)
     # one row per cycle; as uint8, not bool, the flags format faster

@@ -40,6 +40,10 @@ def write_samples(path, values, header=None):
     path.write_text("\n".join(lines) + "\n")
 
 
+def pin_dump(outputs):
+    return "".join(f"{c} {int(o.rdy)} {o.dout} {int(o.rfd)}\n" for c, o in enumerate(outputs))
+
+
 # ---------------------------------------------------------------- decimate
 
 
@@ -130,19 +134,33 @@ def test_decimate_undecodable_input_is_a_data_error(tmp_path, capsys):
     assert not outfile.exists()
 
 
-def test_plain_sample_files_skip_the_line_parser(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["decimate", "chipsim"])
+def test_plain_sample_files_skip_the_line_parser(tmp_path, capsys, monkeypatch, command):
+    # many 64-byte chunks, each parsed in one pass, the first after its comment
     samples = list(range(-128, 128)) * 3
     infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
-    write_samples(infile, samples, header="# ramp")
+    cfg = CicConfig(3, 5, 1, 8)
+    if command == "decimate":
+        write_samples(infile, samples, header="# ramp")
+        line_parser = "_read_samples"
+        expected = "".join(f"{v}\n" for v in reference_decimate(cfg, samples))
+    else:
+        # a data cycle per sample, but every 8th cycle idle, with lone dashes
+        trace = [PinInputs(din=s, nd=True) for s in samples]
+        trace[7::8] = [PinInputs()] * len(trace[7::8])
+        infile.write_text("# ramp\n" + "".join(
+            f"1 {p.din} 0 -\n" if p.nd else "0 - 0 -\n" for p in trace))
+        line_parser = "_parse_trace"
+        chip = ChipModel(cfg)
+        expected = pin_dump(run_trace(chip, trace + [PinInputs()] * chip.latency))
     monkeypatch.setattr(cli, "_CHUNK_CHARS", 64)
-    monkeypatch.setattr(cli, "_read_samples", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(cli, line_parser, mock.Mock(side_effect=AssertionError))
     code, _, _ = run_cli(
-        capsys, "decimate", "-N", "3", "-R", "5", "-B", "8",
+        capsys, command, "-N", "3", "-R", "5", "-B", "8",
         "--in", str(infile), "--out", str(outfile),
     )
     assert code == 0
-    expected = reference_decimate(CicConfig(3, 5, 1, 8), samples)
-    assert outfile.read_text() == "".join(f"{v}\n" for v in expected)
+    assert outfile.read_text() == expected
 
 
 def test_decimate_error_in_second_chunk_reports_absolute_line(tmp_path, capsys):
@@ -170,24 +188,35 @@ def test_decimate_reads_universal_newlines(tmp_path, capsys):
     assert outfile.read_text() == "1\n2\n3\n4\n"
 
 
-@pytest.mark.parametrize("data, chunk, message", [
+@pytest.mark.parametrize("command, data, chunk, message", [
     # a bad line before undecodable bytes is the error, as line-by-line reading gives
-    (b"x\n\xf0\x9f", None, "line 1: not an integer: 'x'"),
-    (b"x\n\xff", None, "line 1: not an integer: 'x'"),
-    (b"1\r\n2\r\ny\r\n3\xff\r\n", None, "line 3: not an integer: 'y'"),
-    (b"0\n" * 40 + b"y\n\xff\n", 64, "line 41: not an integer: 'y'"),  # second chunk
+    ("decimate", b"x\n\xf0\x9f", None, "line 1: not an integer: 'x'"),
+    ("decimate", b"x\n\xff", None, "line 1: not an integer: 'x'"),
+    ("decimate", b"1\r\n2\r\ny\r\n3\xff\r\n", None, "line 3: not an integer: 'y'"),
+    ("decimate", b"0\n" * 40 + b"y\n\xff\n", 64, "line 41: not an integer: 'y'"),
+    ("chipsim", b"x\n\xff", None, "cycle 0 (line 1): expected 'nd din we ldin', got 'x'"),
+    ("chipsim", b"1 1 0 -\r\n1 2 0 -\r\ny\r\n1 3\xff 0 -\r\n", None,
+     "cycle 2 (line 3): expected 'nd din we ldin', got 'y'"),
+    ("chipsim", b"# head\n" + b"1 0 0 -\n" * 20 + b"y\n\xff\n", 64,
+     "cycle 20 (line 22): expected 'nd din we ldin', got 'y'"),
     # undecodable bytes before any bad line are the error
-    (b"1\n\xff\nx\n", None, "input is not utf-8 text: byte 0xff: invalid start byte"),
-    (b"1\n2\xf0\x9f\n", None, "input is not utf-8 text: byte 0xf0: invalid continuation byte"),
-], ids=["cut-tail", "bad-byte", "crlf", "second-chunk", "byte-first", "byte-in-line"])
+    ("decimate", b"1\n\xff\nx\n", None, "input is not utf-8 text: byte 0xff: invalid start byte"),
+    ("decimate", b"1\n2\xf0\x9f\n", None,
+     "input is not utf-8 text: byte 0xf0: invalid continuation byte"),
+    ("chipsim", b"1 1 0 -\n\xff\nx\n", None,
+     "input is not utf-8 text: byte 0xff: invalid start byte"),
+], ids=["cut-tail", "bad-byte", "crlf", "second-chunk",
+        "chipsim-bad-byte", "chipsim-crlf", "chipsim-second-chunk",
+        "byte-first", "byte-in-line", "chipsim-byte-first"])
 def test_decimate_reports_the_first_error_in_the_file(tmp_path, capsys, monkeypatch,
-                                                     data, chunk, message):
+                                                     command, data, chunk, message):
+    # (chipsim reads its pin traces through the same chunked reader)
     if chunk is not None:
         monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk)
     infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
     infile.write_bytes(data)
     code, out, err = run_cli(
-        capsys, "decimate", "-N", "2", "-R", "2", "--in", str(infile), "--out", str(outfile),
+        capsys, command, "-N", "2", "-R", "2", "--in", str(infile), "--out", str(outfile),
     )
     assert (code, out, err) == (2, "", f"cicdec: error: {message}\n")
     assert not outfile.exists()
@@ -578,6 +607,24 @@ def test_chipsim_bad_chip_flags_exit_one(tmp_path, capsys, flags, message):
     assert not outfile.exists()
 
 
+# Sizes of 2**63 and up fail before anything is allocated (smaller ones may not).
+@pytest.mark.parametrize("argv, message", [
+    (["chipsim", "--latency", str(2**63)], f"latency must be <= {2**63 - 1}, got {2**63}"),
+    (["chipsim", "--latency", str(10**20)], f"latency must be <= {2**63 - 1}, got {10**20}"),
+    (["response", "--grid", str(2**63)], f"grid_size must be <= {2**60 - 1}, got {2**63}"),
+    (["compensate", "--taps", "3", "--grid", str(10**20)],
+     f"grid_size must be <= {2**60 - 1}, got {10**20}"),
+], ids=["chipsim-latency", "chipsim-latency-1e20", "response-grid", "compensate-grid"])
+def test_oversized_size_flags_exit_one(tmp_path, capsys, argv, message):
+    infile, outfile = tmp_path / "trace.txt", tmp_path / "out.txt"
+    infile.write_text("1 1 0 -\n")
+    io_flags = ["--in", str(infile)] if argv[0] == "chipsim" else []
+    code, out, err = run_cli(capsys, *argv, "-N", "2", "-R", "2", *io_flags,
+                             "--out", str(outfile))
+    assert (code, out, err) == (1, "", f"cicdec: error: {message}\n")
+    assert not outfile.exists()
+
+
 # Fields the trace parser accepts, rejects or hands on to the chip model:
 # in-range and out-of-range din/ldin values (-B 8, --rmax 16), junk tokens
 # and non-ASCII digits.
@@ -599,12 +646,24 @@ INVALID_UTF8 = [b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80", b"\xf0\x9f"]
 
 
 def chipsim_oracle(infile, bits, rmax):
-    """Exit code, stderr and pin dump by `_parse_trace`, `run_trace` and a line writer."""
+    """Exit code, stderr and pin dump by `_parse_trace`, `run_trace` and a line writer.
+
+    The first error in the file wins: the whole lines before the first byte
+    that does not decode are parsed (with universal newlines) before that
+    byte is reported.
+    """
     rate_range = (1, int(rmax[1])) if rmax else None
     chip = ChipModel(CicConfig(2, 3, 1, bits), rate_range=rate_range)
+    data = infile.read_bytes()
     try:
-        with open(infile) as fh:
-            trace = _parse_trace(fh)
+        data.decode("utf-8")
+        head, decode_error = data, None
+    except UnicodeDecodeError as exc:
+        head, decode_error = data[:data.rfind(b"\n", 0, exc.start) + 1], exc
+    try:
+        trace = _parse_trace(io.TextIOWrapper(io.BytesIO(head), encoding="utf-8"))
+        if decode_error is not None:
+            raise decode_error
         if trace:
             trace += [PinInputs()] * chip.latency
         outputs = run_trace(chip, trace)
@@ -613,7 +672,7 @@ def chipsim_oracle(infile, bits, rmax):
     except UnicodeDecodeError as exc:
         return 2, (f"cicdec: error: input is not {exc.encoding} text: byte "
                    f"{exc.object[exc.start]:#04x}: {exc.reason}\n"), None
-    dump = "".join(f"{c} {int(o.rdy)} {o.dout} {int(o.rfd)}\n" for c, o in enumerate(outputs))
+    dump = pin_dump(outputs)
     counts = (f"rdy_count={sum(o.rdy for o in outputs)} "
               f"rfd_low={sum(not o.rfd for o in outputs)} "
               f"nd_dropped={sum(p.nd and p.we for p in trace)}\n")
@@ -627,21 +686,28 @@ def chipsim_oracle(infile, bits, rmax):
     bad_at=st.integers(0, 2000),
     rmax=st.sampled_from([[], ["--rmax", "16"]]),
     bits=st.sampled_from([8, 70]),
+    chunk=st.integers(1, 48),
 )
 @example(lines=["1 5 0 -", "0 - 1 4"], newline="\n", bad_bytes=b"\xff", bad_at=8,
-         rmax=["--rmax", "16"], bits=8)
+         rmax=["--rmax", "16"], bits=8, chunk=48)
+# a bad line in the same chunk as a later undecodable byte is reported first
+@example(lines=["x"], newline="\n", bad_bytes=b"\xff", bad_at=2000, rmax=[], bits=8,
+         chunk=48)
+# one-pass chunks, a line-parser chunk and a rate load in the last chunk
+@example(lines=["1 5 0 -", "1 -7 0 -", "1 1 0 -  ", "1 2 0 -", "0 - 1 9", "1 3 0 -"],
+         newline="\r\n", bad_bytes=b"", bad_at=0, rmax=["--rmax", "16"], bits=8, chunk=10)
 # a bad line before a sequence cut off at the end of the file is reported first
 @example(lines=["1 5 0 - # note"], newline="\n", bad_bytes=b"\xf0\x9f", bad_at=2000,
-         rmax=[], bits=8)
+         rmax=[], bits=8, chunk=48)
 # canonical-looking lines that only the line parser may reject or read
 @example(lines=["1 5 0 -", "1 - 0 -"], newline="\n", bad_bytes=b"", bad_at=0,
-         rmax=["--rmax", "16"], bits=8)
+         rmax=["--rmax", "16"], bits=8, chunk=48)
 @example(lines=["1 5 0 -", "0 - 1 -"], newline="\n", bad_bytes=b"", bad_at=0,
-         rmax=["--rmax", "16"], bits=8)
+         rmax=["--rmax", "16"], bits=8, chunk=48)
 @example(lines=["1 9999999999999999999 0 -"] * 3, newline="\n", bad_bytes=b"", bad_at=0,
-         rmax=[], bits=70)
+         rmax=[], bits=70, chunk=48)
 def test_chipsim_any_trace_exits_cleanly(tmp_path_factory, lines, newline, bad_bytes,
-                                         bad_at, rmax, bits):
+                                         bad_at, rmax, bits, chunk):
     data = newline.join(lines).encode() + newline.encode()
     at = min(bad_at, len(data))
     infile = tmp_path_factory.getbasetemp() / "fuzz_trace.txt"
@@ -649,7 +715,8 @@ def test_chipsim_any_trace_exits_cleanly(tmp_path_factory, lines, newline, bad_b
     outfile = tmp_path_factory.getbasetemp() / "fuzz_pins.txt"
     outfile.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.object(cli, "_CHUNK_CHARS", chunk), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["chipsim", "-N", "2", "-R", "3", "-B", str(bits), *rmax,
                      "--in", str(infile), "--out", str(outfile)])
     assert code in (0, 1, 2)
