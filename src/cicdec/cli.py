@@ -6,18 +6,19 @@ per line as ``nd din we ldin`` with ``-`` for don't-care fields; both are
 read by one chunked reader (`_read_chunks`), so the first error in a file
 is the one reported.  Pin dumps hold one ``cycle rdy dout rfd`` row per
 cycle, and response tables are CSV with an ``f,mag_db,phase_rad`` header;
-tables and dumps are formatted and written `_ROWS_PER_WRITE` rows at a time.  Response tables read exactly as
-``'%.12g' %`` prints each value, but are formatted as byte arrays
-(`_format_rows`), with ``'%.12g' %`` as the oracle for the few values the
-arrays cannot vouch for.  Every command accepts ``-`` for stdin/stdout.
-Exit codes: 0 ok, 1 usage or flag error, 2 file/parse/range error (text
-that does not decode included).
+tables and dumps are written `_ROWS_PER_WRITE` rows at a time.  Response
+tables read exactly as ``'%.12g' %`` prints each value, but are formatted
+as byte arrays (`_format_rows`), with ``'%.12g' %`` as the oracle for the
+few values the arrays cannot vouch for.  Every command accepts ``-`` for
+stdin/stdout.  Exit codes: 0 ok, 1 usage or flag error, 2 file/parse/range
+error (undecodable text and a closed stdin or stdout included).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import re
 import sys
 from contextlib import contextmanager
@@ -45,8 +46,8 @@ from .chip import ChipModel, PinInputs, ProtocolError
 from .sdm import OUTPUT_BITS, SigmaDeltaModulator
 
 
-#: Characters (bytes, from a file) `decimate` and `chipsim` read at a time,
-#: rounded up to the next line end, so the input is never held in memory whole.
+#: Characters `decimate` and `chipsim` read at a time, rounded up to the
+#: next line end, so the input is never held in memory whole.
 _CHUNK_CHARS = 1 << 20
 
 #: Response-table and pin-dump rows formatted per write, so the formatting
@@ -63,6 +64,9 @@ _LEAD, _TRAIL, _LAST = 10_000, 20_000, 30_000
 
 # A comment line with the newline before it (see `_read_chunks`).
 _COMMENT_LINE = re.compile(r"\n#[^\n]*")
+
+# A byte that did not decode, as the ``surrogateescape`` handler passes it on.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 # A pin-trace line `_parse_trace_chunk` takes in one pass: single spaces, 1 to 18
 # ASCII digits, and a `-` din or ldin only where nd or we is low.  Lines are
@@ -84,11 +88,24 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _open_text(path: str, mode: str):
-    if path == "-":
-        yield sys.stdin if mode == "r" else sys.stdout
-    else:
-        with open(path, mode) as fh:
+    """`path`, or stdin/stdout for ``-``, as text with universal newlines;
+    bytes that do not decode pass as lone surrogates for `_read_chunks`."""
+    if path != "-":
+        with open(path, mode, errors="surrogateescape") as fh:
             yield fh
+        return
+    name = "stdin" if mode == "r" else "stdout"
+    std = getattr(sys, name)
+    if std is None:
+        raise OSError(f"{name} is closed")
+    if mode != "r" or not hasattr(std, "buffer"):
+        yield std
+        return
+    fh = io.TextIOWrapper(std.buffer, std.encoding, "surrogateescape", newline=None)
+    try:
+        yield fh
+    finally:
+        fh.detach()
 
 
 def _round_away(x: float, places: int = 2) -> Decimal:
@@ -143,38 +160,19 @@ def _parse_chunk(text: str, bits: int) -> np.ndarray | None:
 
 
 def _line_chunks(fh):
-    """Yield the text of `fh` in chunks of whole lines.
-
-    A file is read as bytes and decoded a chunk at a time, with universal
-    newlines as ``open`` reads text.  If a chunk does not decode, its whole
-    lines before the undecodable byte are yielded first, so a bad line among
-    them is the error reported, and then the decode error is raised.  (The
-    text layer loses everything it decoded in a ``read`` that fails.)
-    """
-    raw = getattr(fh, "buffer", None)
-    if raw is None:  # already text, e.g. io.StringIO
-        while text := fh.read(_CHUNK_CHARS):
-            if not text.endswith("\n"):
-                text += fh.readline()
-            yield text
-        return
-    while data := raw.read(_CHUNK_CHARS):
-        if not data.endswith(b"\n"):
-            data += raw.readline()
-        try:
-            text = data.decode(fh.encoding, fh.errors)
-        except UnicodeDecodeError as exc:
-            head = data[:data.rfind(b"\n", 0, exc.start) + 1]
-            yield _universal_newlines(head.decode(fh.encoding, fh.errors))
-            raise
-        del data  # the caller parses the text; the bytes need not stay alive
-        yield _universal_newlines(text)
-
-
-def _universal_newlines(text: str) -> str:
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    """Yield the text of `fh` in chunks of whole lines, cut before the line of
+    the first byte that did not decode; that byte's codec error is raised once
+    the caller has parsed the lines before it, so a bad line among them wins."""
+    escaped = fh.errors == "surrogateescape"
+    while text := fh.read(_CHUNK_CHARS):
+        if not text.endswith("\n"):
+            text += fh.readline()
+        if escaped and not text.isascii() and (bad := _ESCAPED_BYTE.search(text)):
+            start = text.rfind("\n", 0, bad.start()) + 1
+            yield text[:start]
+            text = text[start:]
+            text.encode(fh.encoding, "surrogateescape").decode(fh.encoding)  # raises
+        yield text
 
 
 def _read_chunks(fh, parse_chunk, parse_lines):
@@ -567,7 +565,7 @@ def main(argv=None) -> int:
         print(f"cicdec: error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:
-        # the codec's position counts from the decoder's buffer, not the file
+        # the codec's position counts from the start of the line, not the file
         byte = exc.object[exc.start]
         print(f"cicdec: error: input is not {exc.encoding} text: byte {byte:#04x}: "
               f"{exc.reason}", file=sys.stderr)

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -85,6 +89,25 @@ def test_decimate_over_stdio(capsys, monkeypatch):
     assert code == 0
     assert out == "3\n7\n"
     assert "samples_out=2" in err
+
+
+def test_decimate_leaves_a_byte_stdin_open(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"1\r\n2\r3\n4"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, _ = run_cli(capsys, "decimate", "-N", "1", "-R", "1")
+    assert (code, out) == (0, "1\n2\n3\n4\n")
+    assert sys.stdin is stdin and not stdin.closed
+
+
+@pytest.mark.parametrize("stream, argv", [
+    ("stdin", ["decimate", "-N", "1", "-R", "1"]),
+    ("stdout", ["sdm", "--dc", "0.5", "--count", "3"]),
+])
+def test_closed_stdio_is_a_data_error(capsys, monkeypatch, stream, argv):
+    # (Python sets sys.stdin or sys.stdout to None when its descriptor is closed)
+    monkeypatch.setattr(sys, stream, None)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"cicdec: error: {stream} is closed\n"
 
 
 def test_decimate_empty_input_is_fine(tmp_path, capsys):
@@ -188,26 +211,46 @@ def test_decimate_reads_universal_newlines(tmp_path, capsys):
     assert outfile.read_text() == "1\n2\n3\n4\n"
 
 
+@pytest.mark.parametrize("data, argv, code, out, err", [
+    (b"1\r\n2\r3\n4\r", ["-N", "1", "-R", "1"], 0, "1\n2\n3\n4\n",
+     "samples_in=4 samples_out=4 width=16 gain=1\n"),
+    (b"1\n\xff\n", ["-N", "1", "-R", "1"], 2, "",
+     "cicdec: error: input is not utf-8 text: byte 0xff: invalid start byte\n"),
+    (b"x\r\xff", ["-N", "2", "-R", "2"], 2, "", "cicdec: error: line 1: not an integer: 'x'\n"),
+], ids=["line-ends", "bad-byte", "cr-bad-byte"])
+def test_decimate_reads_a_real_stdin_pipe(data, argv, code, out, err):
+    # a real stdin has a byte buffer, which io.StringIO has not
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "cicdec.cli", "decimate", *argv],
+                          input=data, capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+
+
 @pytest.mark.parametrize("command, data, chunk, message", [
     # a bad line before undecodable bytes is the error, as line-by-line reading gives
     ("decimate", b"x\n\xf0\x9f", None, "line 1: not an integer: 'x'"),
     ("decimate", b"x\n\xff", None, "line 1: not an integer: 'x'"),
     ("decimate", b"1\r\n2\r\ny\r\n3\xff\r\n", None, "line 3: not an integer: 'y'"),
     ("decimate", b"0\n" * 40 + b"y\n\xff\n", 64, "line 41: not an integer: 'y'"),
+    ("decimate", b"x\r\xff", None, "line 1: not an integer: 'x'"),
     ("chipsim", b"x\n\xff", None, "cycle 0 (line 1): expected 'nd din we ldin', got 'x'"),
     ("chipsim", b"1 1 0 -\r\n1 2 0 -\r\ny\r\n1 3\xff 0 -\r\n", None,
      "cycle 2 (line 3): expected 'nd din we ldin', got 'y'"),
     ("chipsim", b"# head\n" + b"1 0 0 -\n" * 20 + b"y\n\xff\n", 64,
      "cycle 20 (line 22): expected 'nd din we ldin', got 'y'"),
-    # undecodable bytes before any bad line are the error
+    ("chipsim", b"x\r\xff", None, "cycle 0 (line 1): expected 'nd din we ldin', got 'x'"),
+    # undecodable bytes are the error before a bad line after them or around them
     ("decimate", b"1\n\xff\nx\n", None, "input is not utf-8 text: byte 0xff: invalid start byte"),
     ("decimate", b"1\n2\xf0\x9f\n", None,
      "input is not utf-8 text: byte 0xf0: invalid continuation byte"),
+    ("decimate", b"1\nx\xff\n", None, "input is not utf-8 text: byte 0xff: invalid start byte"),
     ("chipsim", b"1 1 0 -\n\xff\nx\n", None,
      "input is not utf-8 text: byte 0xff: invalid start byte"),
-], ids=["cut-tail", "bad-byte", "crlf", "second-chunk",
-        "chipsim-bad-byte", "chipsim-crlf", "chipsim-second-chunk",
-        "byte-first", "byte-in-line", "chipsim-byte-first"])
+], ids=["cut-tail", "bad-byte", "crlf", "second-chunk", "cr-bad-byte",
+        "chipsim-bad-byte", "chipsim-crlf", "chipsim-second-chunk", "chipsim-cr-bad-byte",
+        "byte-first", "byte-in-line", "byte-in-bad-line", "chipsim-byte-first"])
 def test_decimate_reports_the_first_error_in_the_file(tmp_path, capsys, monkeypatch,
                                                      command, data, chunk, message):
     # (chipsim reads its pin traces through the same chunked reader)
@@ -231,6 +274,7 @@ SAMPLE_LINES = st.one_of(
         "", "   ", "# comment", "#", "  # indented comment", " 7 ", "\t-8", "+5", "-0",
         "007", "1_000", "0x10", "1 2", "5 # note", "-", "--3", "5-", "1.0", "x",
         "\u0661\u0662", "\u00a0", "12345678901234567890123",
+        "\udcff",  # in a text stream, a bad line, not a byte that did not decode
     ]),
 )
 
@@ -253,6 +297,7 @@ def reference_run(text, bits, cfg):
 )
 @example(lines=["# head", "1", "2", "\u0663", "-4"], newline="\n", final_newline=True,
          bits=8, chunk=6)
+@example(lines=["1", "\udcff"], newline="\n", final_newline=True, bits=8, chunk=48)
 def test_chunked_reader_matches_line_parser(lines, newline, final_newline, bits, chunk):
     text = newline.join(lines) + (newline if final_newline and lines else "")
     cfg = CicConfig(2, 3, 1, bits)
@@ -659,7 +704,8 @@ def chipsim_oracle(infile, bits, rmax):
         data.decode("utf-8")
         head, decode_error = data, None
     except UnicodeDecodeError as exc:
-        head, decode_error = data[:data.rfind(b"\n", 0, exc.start) + 1], exc
+        cut = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start))
+        head, decode_error = data[:cut + 1], exc
     try:
         trace = _parse_trace(io.TextIOWrapper(io.BytesIO(head), encoding="utf-8"))
         if decode_error is not None:
@@ -681,7 +727,7 @@ def chipsim_oracle(infile, bits, rmax):
 
 @given(
     lines=st.lists(TRACE_LINE, max_size=30),
-    newline=st.sampled_from(["\n", "\r\n"]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
     bad_bytes=st.one_of(st.just(b""), st.sampled_from(INVALID_UTF8)),
     bad_at=st.integers(0, 2000),
     rmax=st.sampled_from([[], ["--rmax", "16"]]),
@@ -692,6 +738,9 @@ def chipsim_oracle(infile, bits, rmax):
          rmax=["--rmax", "16"], bits=8, chunk=48)
 # a bad line in the same chunk as a later undecodable byte is reported first
 @example(lines=["x"], newline="\n", bad_bytes=b"\xff", bad_at=2000, rmax=[], bits=8,
+         chunk=48)
+# a bad line ended by a lone CR right before an undecodable byte is reported first
+@example(lines=["x"], newline="\r", bad_bytes=b"\xff", bad_at=2000, rmax=[], bits=8,
          chunk=48)
 # one-pass chunks, a line-parser chunk and a rate load in the last chunk
 @example(lines=["1 5 0 -", "1 -7 0 -", "1 1 0 -  ", "1 2 0 -", "0 - 1 9", "1 3 0 -"],
