@@ -76,20 +76,34 @@ def magnitude(config: CicConfig, f: float | np.ndarray) -> float | np.ndarray:
     as exact zeros whenever D*f is an integer.  Near a null the float
     product D*f, off by up to D*f*2**-53, would swamp the small residual,
     so there (on the few elements within D*f*2**-16 of an integer) the
-    residual is recomputed exactly from f's binary fraction.
+    product's rounding error is added back: `u - rint(u)` is exact there,
+    so the residual is exact, rounded once.  That needs D < 2**53, where
+    float(D) is exact; above it the residual is float(D)*f's, not D*f's.
     """
     fa = _frequencies(f)
     d = config.kernel_length
     u = d * fa
-    nearest = np.rint(u)
-    frac = u - nearest
-    for i in np.flatnonzero(np.abs(frac) < u * 2.0**-16):
-        p, q = float(fa[i]).as_integer_ratio()
-        frac[i] = (d * p - int(nearest[i]) * q) / q  # exact integers, one rounding
+    frac = u - np.rint(u)
+    near = np.abs(frac) < u * 2.0**-16
+    frac[near] += _product_error(float(d), fa[near], u[near])
     num = np.abs(np.sin(math.pi * frac))
     den = d * np.sin(math.pi * fa)
     ratio = np.divide(num, den, out=np.ones_like(fa), where=fa != 0.0)
     return _shaped_like(f, np.minimum(ratio**config.stages, 1.0))
+
+
+def _split(a):
+    """Veltkamp's split of doubles into two halves of at most 26 bits each."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _product_error(a: float, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a*b - p exactly for p = fl(a*b): Dekker's TwoProduct (Numer. Math. 18, 1971)."""
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def phase(config: CicConfig, f: float | np.ndarray) -> float | np.ndarray:

@@ -15,6 +15,7 @@ CIC stream, so each such segment is one `process_block` call.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
@@ -76,10 +77,12 @@ class ChipModel:
 
     `latency` models the registers between comb-chain completion and `dout`
     visibility; it defaults to one register per stage plus an output
-    register.  `width` is the register width the chip is built with: sized
-    for the largest allowed rate when the rate is programmable.  The core
-    runs at each loaded rate's own `required_width`, which gives the same
-    outputs.
+    register.  Outputs in flight are held as (exit cycle, value) pairs, so
+    latency costs the model no memory (`cicdec chipsim` still writes
+    `latency` idle drain rows).  `width` is the register width the chip is
+    built with: sized for the largest allowed rate when the rate is
+    programmable.  The core runs at each loaded rate's own `required_width`,
+    which gives the same outputs.
     """
 
     def __init__(
@@ -92,7 +95,7 @@ class ChipModel:
             latency = config.stages + 1
         if latency < 1:
             raise ProtocolError(f"latency must be >= 1, got {latency}")
-        if latency > np.iinfo(np.intp).max:  # the queue's length is an index
+        if latency > np.iinfo(np.intp).max:  # chipsim's drain: an array length
             raise ProtocolError(f"latency must be <= {np.iinfo(np.intp).max}, got {latency}")
         self.latency = latency
         self.rate_range = rate_range
@@ -107,9 +110,9 @@ class ChipModel:
                 )
         self.width = required_width(_at_rate(config, r_max))
         self.core = DecimatorState(config)
-        # outputs in flight, newest on the left; a full deque drops the
-        # rightmost (oldest) entry on each appendleft
-        self._queue = deque([None] * latency, maxlen=latency)
+        # outputs in flight as (exit cycle, value), oldest first
+        self._pending = deque()
+        self._cycle = 0
         self._dout = 0
 
     @property
@@ -135,11 +138,13 @@ class ChipModel:
         elif pins.nd:
             emitted = self.core.push(pins.din)
 
-        exiting = self._queue[-1]
-        self._queue.appendleft(emitted)
-        if exiting is not None:
-            self._dout = exiting
-        return PinOutputs(dout=self._dout, rdy=exiting is not None, rfd=rfd)
+        rdy = bool(self._pending) and self._pending[0][0] == self._cycle
+        if rdy:
+            self._dout = self._pending.popleft()[1]
+        if emitted is not None:
+            self._pending.append((self._cycle + self.latency, emitted))
+        self._cycle += 1
+        return PinOutputs(dout=self._dout, rdy=rdy, rfd=rfd)
 
     def run(self, nd, din, we, ldin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance one clock edge per element of the pin arrays.
@@ -177,31 +182,26 @@ class ChipModel:
         for end in [*np.flatnonzero(we).tolist(), n]:
             idx = taken[np.searchsorted(taken, start):np.searchsorted(taken, end)]
             rate, phase = self.core.config.rate, self.core.phase
-            emit_cycles.append(idx[rate - 1 - phase :: rate])
+            emit_cycles += idx[rate - 1 - phase :: rate].tolist()
             emitted += self.core.process_block(din[idx])
             if end < n:
                 self.core = DecimatorState(_at_rate(self.core.config, int(ldin[end])))
             start = end + 1
-        emit_cycles = np.concatenate(emit_cycles)
 
-        # Queue slot k (oldest first) exits on cycle k, an output emitted on
-        # cycle c exits on c + latency; dout holds the last exit.
-        queued = list(reversed(self._queue))
-        slots = [k for k, y in enumerate(queued) if y is not None]
-        exits = np.concatenate((np.array(slots, dtype=np.intp), emit_cycles + self.latency))
-        values = [self._dout, *(queued[k] for k in slots), *emitted]
-        done = int(np.searchsorted(exits, n))
+        # An output emitted on cycle c exits on c + latency, in Python ints so
+        # no latency wraps; cycles count from this call's first.  dout holds
+        # the last exit.
+        base = self._cycle
+        exits = [e - base for e, _ in self._pending]
+        exits += [c + self.latency for c in emit_cycles]
+        values = [self._dout, *(y for _, y in self._pending), *emitted]
+        done = bisect.bisect_left(exits, n)
         rdy = np.zeros(n, dtype=bool)
         rdy[exits[:done]] = True
         dout = np.array(values[:done + 1], dtype=self._dout_dtype)[np.cumsum(rdy)]
         self._dout = values[done]
-        # Shift the queue by one slot per cycle, as `tick` does.
-        shift = min(n, self.latency)
-        tail = [None] * shift
-        first = int(np.searchsorted(emit_cycles, n - shift))
-        for cycle, y in zip(emit_cycles[first:].tolist(), emitted[first:]):
-            tail[cycle - (n - shift)] = y
-        self._queue.extendleft(tail)
+        self._pending = deque(zip([base + e for e in exits[done:]], values[done + 1:]))
+        self._cycle = base + n
         return rdy, dout, ~we
 
     @property

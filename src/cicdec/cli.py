@@ -79,11 +79,22 @@ class DataError(Exception):
     """Malformed or out-of-range input data (exit code 2)."""
 
 
+def _note(text: str) -> None:
+    """Print `text` on stderr, or drop it if stderr is closed or unwritable,
+    so that the exit code is the one the command gives either way."""
+    if sys.stderr is None:
+        return
+    try:
+        print(text, file=sys.stderr)  # stderr is line-buffered
+    except OSError:
+        pass
+
+
 class _Parser(argparse.ArgumentParser):
     # Distinguish usage failures (1) from data failures (2).
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        _note(f"{self.format_usage()}{self.prog}: error: {message}")
+        sys.exit(1)
 
 
 @contextmanager
@@ -403,11 +414,8 @@ def _cmd_decimate(args) -> int:
     # written only once the whole input has parsed, so an error leaves no output
     with _open_text(args.outfile, "w") as fh:
         fh.writelines(f"{y}\n" for y in outputs)
-    print(
-        f"samples_in={state.samples_in} samples_out={state.samples_out} "
-        f"width={state.width} gain={gain(config)}",
-        file=sys.stderr,
-    )
+    _note(f"samples_in={state.samples_in} samples_out={state.samples_out} "
+          f"width={state.width} gain={gain(config)}")
     return 0
 
 
@@ -423,10 +431,7 @@ def _cmd_response(args) -> int:
     if args.fp is not None:
         droop = passband_droop(config, args.fp)
         alias = alias_attenuation(config, args.fp)
-        print(
-            f"droop_db={_round_away(droop)} alias_db={_round_away(alias)}",
-            file=sys.stderr,
-        )
+        _note(f"droop_db={_round_away(droop)} alias_db={_round_away(alias)}")
     return 0
 
 
@@ -437,7 +442,7 @@ def _cmd_compensate(args) -> int:
         for t in fir.taps:
             fh.write(f"{t!r}\n")
     deviation = passband_deviation_db(config, fir, args.fp)
-    print(f"deviation_db={_round_away(deviation, 4)}", file=sys.stderr)
+    _note(f"deviation_db={_round_away(deviation, 4)}")
     return 0
 
 
@@ -465,11 +470,8 @@ def _cmd_chipsim(args) -> int:
             stop = min(start + _ROWS_PER_WRITE, len(rdy))
             block = np.column_stack((np.arange(start, stop), *(c[start:stop] for c in columns)))
             fh.write("%d %d %d %d\n" * (stop - start) % tuple(block.ravel().tolist()))
-    print(
-        f"rdy_count={np.count_nonzero(rdy)} rfd_low={np.count_nonzero(~rfd)} "
-        f"nd_dropped={np.count_nonzero(nd & we)}",
-        file=sys.stderr,
-    )
+    _note(f"rdy_count={np.count_nonzero(rdy)} rfd_low={np.count_nonzero(~rfd)} "
+          f"nd_dropped={np.count_nonzero(nd & we)}")
     return 0
 
 
@@ -483,7 +485,7 @@ def _cmd_sdm(args) -> int:
         for b in bits:
             fh.write(f"{b}\n")
     mean = sum(bits) / len(bits) if bits else 0.0
-    print(f"bits={len(bits)} mean={mean:.6f} output_bits={OUTPUT_BITS}", file=sys.stderr)
+    _note(f"bits={len(bits)} mean={mean:.6f} output_bits={OUTPUT_BITS}")
     return 0
 
 
@@ -559,16 +561,16 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DomainError) as exc:
-        print(f"cicdec: error: {exc}", file=sys.stderr)
+        _note(f"cicdec: error: {exc}")
         return 1
     except (DataError, InputRangeError, ProtocolError, OSError) as exc:
-        print(f"cicdec: error: {exc}", file=sys.stderr)
+        _note(f"cicdec: error: {exc}")
         return 2
     except UnicodeDecodeError as exc:
         # the codec's position counts from the start of the line, not the file
         byte = exc.object[exc.start]
-        print(f"cicdec: error: input is not {exc.encoding} text: byte {byte:#04x}: "
-              f"{exc.reason}", file=sys.stderr)
+        _note(f"cicdec: error: input is not {exc.encoding} text: byte {byte:#04x}: "
+              f"{exc.reason}")
         return 2
 
 

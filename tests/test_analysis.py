@@ -119,6 +119,47 @@ def test_magnitude_array_matches_tap_polynomial(case):
         assert abs(ci - poly) <= 1e-9 * max(poly, 1e-15)
 
 
+def loop_magnitude(config, f):
+    """`magnitude` with each near-null residual redone on its own from f's
+    binary fraction, in exact integers rounded once: the error-free
+    product's oracle."""
+    fa = np.asarray(f, dtype=np.float64)
+    d = config.kernel_length
+    u = d * fa
+    nearest = np.rint(u)
+    frac = u - nearest
+    for i in np.flatnonzero(np.abs(frac) < u * 2.0**-16):
+        p, q = float(fa[i]).as_integer_ratio()
+        frac[i] = (d * p - int(nearest[i]) * q) / q
+    num = np.abs(np.sin(math.pi * frac))
+    den = d * np.sin(math.pi * fa)
+    ratio = np.divide(num, den, out=np.ones_like(fa), where=fa != 0.0)
+    return np.minimum(ratio**config.stages, 1.0)
+
+
+@st.composite
+def near_null_points(draw):
+    """A config with D < 2**53 and points k/D, their neighbours up to two
+    ulps away on each side, and a few random frequencies."""
+    d = draw(st.one_of(st.integers(2, 10**4), st.integers(2, 2**53 - 1)))
+    cfg = quiet_config(draw(st.integers(1, 4)), d)
+    k = np.array(draw(st.lists(st.integers(1, d // 2), min_size=1, max_size=16)))
+    nulls = k / d
+    lower, upper = np.nextafter(nulls, 0.0), np.nextafter(nulls, 1.0)
+    near = np.concatenate((nulls, lower, np.nextafter(lower, 0.0),
+                           upper, np.nextafter(upper, 1.0)))
+    rand = draw(st.lists(st.floats(0.0, 0.5, allow_nan=False), max_size=8))
+    return cfg, np.concatenate((near[near <= 0.5], rand))
+
+
+@given(near_null_points())
+@example((CicConfig(1, 2184), np.arange(1, 1093) / 2184))
+@example((CicConfig(1, 2**40 + 1), np.arange(1, 200) / (2**40 + 1)))
+def test_magnitude_is_bit_identical_to_the_per_point_loop(case):
+    cfg, f = case
+    assert magnitude(cfg, f).tobytes() == loop_magnitude(cfg, f).tobytes()
+
+
 @given(
     st.integers(1, 6),
     st.integers(1, 64),

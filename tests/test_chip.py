@@ -32,6 +32,11 @@ def gated_douts(outputs):
     return [o.dout for o in outputs if o.rdy]
 
 
+def pending(chip):
+    """Outputs in flight as (cycles until exit, value), oldest first."""
+    return [(cycle - chip._cycle, y) for cycle, y in chip._pending]
+
+
 # ---------------------------------------------------------------- construction
 
 
@@ -176,14 +181,32 @@ def test_load_outside_rate_range_is_an_error():
 
 
 def test_latency_queue_shifts_in_place():
-    # each tick moves the delay line by one slot; rebuilding the whole
-    # latency-long queue every cycle made a tick O(latency)
+    # only the outputs still in flight are held, not one slot per cycle
     chip = ChipModel(CicConfig(1, 2, 1, 8), latency=1000)
-    queue = chip._queue
-    outs = run_trace(chip, dense_feed([1, 2, 3, 4]) + idle(1000))
-    assert chip._queue is queue and len(queue) == 1000
+    outs = run_trace(chip, dense_feed([1, 2, 3, 4]))
+    assert pending(chip) == [(997, 3), (999, 7)]
+    outs += run_trace(chip, idle(1000))
+    assert pending(chip) == []
     assert [c for c, o in enumerate(outs) if o.rdy] == [1001, 1003]
     assert gated_douts(outs) == [3, 7]
+
+
+@pytest.mark.parametrize("latency", [10**12, 2**63 - 1])
+def test_huge_latency_costs_no_memory(latency):
+    cfg = CicConfig(2, 4, 1, 8)
+    oracle, chip = ChipModel(cfg, latency=latency), ChipModel(cfg, latency=latency)
+    assert pending(chip) == []  # nothing sized by the latency
+    samples = list(range(-25, 25))
+    want = run_trace(oracle, dense_feed(samples))
+    rdy, dout, rfd = chip.run(np.ones(50, dtype=bool), np.array(samples),
+                              np.zeros(50, dtype=bool), np.zeros(50, dtype=np.int64))
+    got = [PinOutputs(dout=d, rdy=r, rfd=f)
+           for r, d, f in zip(rdy.tolist(), dout.tolist(), rfd.tolist())]
+    assert got == want == [PinOutputs()] * 50
+    # every output is still in flight, emitted on cycles 3, 7, ..., 47
+    in_flight = [(c + latency - 50, y)
+                 for c, y in zip(range(3, 50, 4), reference_decimate(cfg, samples))]
+    assert pending(chip) == pending(oracle) == in_flight
 
 
 # ---------------------------------------------------------------- trace driver
@@ -289,7 +312,7 @@ def pin_run_scenario(draw):
 
 def chip_state(chip):
     core = chip.core
-    return (core.config, core.samples_in, core.phase, list(chip._queue), chip._dout)
+    return (core.config, core.samples_in, core.phase, pending(chip), chip._dout)
 
 
 @given(pin_run_scenario())

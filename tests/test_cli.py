@@ -211,6 +211,15 @@ def test_decimate_reads_universal_newlines(tmp_path, capsys):
     assert outfile.read_text() == "1\n2\n3\n4\n"
 
 
+def run_child(argv, data, **kwargs):
+    """`python -m cicdec.cli` in a child process, fed `data` on a real stdin."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "cicdec.cli", *argv], input=data,
+                          stdout=subprocess.PIPE, env=env, timeout=60, **kwargs)
+
+
 @pytest.mark.parametrize("data, argv, code, out, err", [
     (b"1\r\n2\r3\n4\r", ["-N", "1", "-R", "1"], 0, "1\n2\n3\n4\n",
      "samples_in=4 samples_out=4 width=16 gain=1\n"),
@@ -220,12 +229,23 @@ def test_decimate_reads_universal_newlines(tmp_path, capsys):
 ], ids=["line-ends", "bad-byte", "cr-bad-byte"])
 def test_decimate_reads_a_real_stdin_pipe(data, argv, code, out, err):
     # a real stdin has a byte buffer, which io.StringIO has not
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "cicdec.cli", "decimate", *argv],
-                          input=data, capture_output=True, env=env, timeout=60)
+    proc = run_child(["decimate", *argv], data, stderr=subprocess.PIPE)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, data, code, out", [
+    (["decimate", "-N", "1", "-R", "1"], b"1\n2\n", 0, b"1\n2\n"),
+    (["decimate", "-N", "1", "-R", "1"], b"x\n", 2, b""),
+    (["decimate", "-N", "1"], b"", 1, b""),
+], ids=["success", "data-error", "flag-error"])
+@pytest.mark.parametrize("stderr", ["closed", "full"])
+def test_unwritable_stderr_keeps_the_exit_code(argv, data, code, out, stderr):
+    if stderr == "closed":
+        proc = run_child(argv, data, preexec_fn=lambda: os.close(2))
+    else:
+        with open("/dev/full", "wb") as full:
+            proc = run_child(argv, data, stderr=full)
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 @pytest.mark.parametrize("command, data, chunk, message", [
@@ -614,6 +634,13 @@ def test_chipsim_empty_trace(tmp_path, capsys):
     assert code == 0
     assert outfile.read_text() == ""
     assert "rdy_count=0" in err
+
+
+def test_chipsim_huge_latency_on_an_empty_trace(capsys, monkeypatch):
+    # the model holds the outputs in flight, not one slot per cycle of latency
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, out, err = run_cli(capsys, "chipsim", "-N", "2", "-R", "4", "--latency", str(10**12))
+    assert (code, out, err) == (0, "", "rdy_count=0 rfd_low=0 nd_dropped=0\n")
 
 
 def test_chipsim_din_out_of_range(tmp_path, capsys):
