@@ -4,14 +4,15 @@ File formats are line-oriented decimal text: sample files hold one signed
 integer per line (``#`` starts a comment line), pin traces hold one cycle
 per line as ``nd din we ldin`` with ``-`` for don't-care fields; both are
 read by one chunked reader (`_read_chunks`), so the first error in a file
-is the one reported.  Pin dumps hold one ``cycle rdy dout rfd`` row per
-cycle, and response tables are CSV with an ``f,mag_db,phase_rad`` header;
-tables and dumps are written `_ROWS_PER_WRITE` rows at a time.  Response
-tables read exactly as ``'%.12g' %`` prints each value, but are formatted
-as byte arrays (`_format_rows`), with ``'%.12g' %`` as the oracle for the
-few values the arrays cannot vouch for.  Every command accepts ``-`` for
-stdin/stdout.  Exit codes: 0 ok, 1 usage or flag error, 2 file/parse/range
-error (undecodable text and a closed stdin or stdout included).
+is the one reported, and split by one tokenizer (`_tokens`).  Pin dumps
+hold one ``cycle rdy dout rfd`` row per cycle, and response tables are CSV
+with an ``f,mag_db,phase_rad`` header; both are written `_ROWS_PER_WRITE`
+rows at a time as byte arrays.  A dump block formats each value `dout`
+holds once (`_format_pins`); response tables read exactly as ``'%.12g' %``
+prints each value (`_format_rows`), which is the oracle for the few values
+the arrays cannot vouch for.  Every command accepts ``-`` for stdin/stdout.
+Exit codes: 0 ok, 1 usage or flag error (or out of memory), 2 file/parse/
+range error (undecodable text and a closed stdin or stdout included).
 """
 
 from __future__ import annotations
@@ -67,12 +68,6 @@ _COMMENT_LINE = re.compile(r"\n#[^\n]*")
 
 # A byte that did not decode, as the ``surrogateescape`` handler passes it on.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-
-# A pin-trace line `_parse_trace_chunk` takes in one pass: single spaces, 1 to 18
-# ASCII digits, and a `-` din or ldin only where nd or we is low.  Lines are
-# checked by deleting every match (one `fullmatch` over a whole chunk
-# keeps a backtracking stack that grows with the line count).
-_TRACE_LINE = re.compile(r"(?:[01-] -?[0-9]{1,18}|[0-] -) (?:[01-] [0-9]{1,18}|[0-] -)\n")
 
 
 class DataError(Exception):
@@ -148,22 +143,40 @@ def _read_samples(lines, bits: int, first_line: int = 1) -> list[int]:
     return samples
 
 
+def _tokens(text: str, fields: int):
+    """The bytes, token starts and token ends of `_read_chunks` text, or None.
+
+    Lines must be `fields` tokens split by single spaces and ended by a
+    newline, tokens ASCII digits after an optional ``-`` or a lone ``-``.
+    The bytes are writable; the starts and ends are (lines, `fields`) arrays.
+    """
+    a = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(a <= ord(" "))  # spaces, newlines and control bytes
+    if not text.endswith("\n") or ends.size % fields:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1)).reshape(-1, fields)
+    ends = ends.reshape(-1, fields)
+    first = a[starts]  # an empty token's is its separator
+    n_signs = np.count_nonzero(first == ord("-"))
+    ok = (np.count_nonzero(a - ord("0") < 10) + n_signs + ends.size == a.size  # (wraps < "0")
+          and first.min() > ord(" ") and np.count_nonzero(a == ord("\n")) == len(ends)
+          and (a[ends[:, :-1]] == ord(" ")).all())  # so each line ends in its newline
+    return (a, starts, ends) if ok else None
+
+
 def _parse_chunk(text: str, bits: int) -> np.ndarray | None:
     """The samples of `_read_chunks` text in one pass, or None.
 
-    Takes only lines of an optional ``-`` followed by 1 to 18 ASCII digits,
-    all in range; for anything else it returns None.
+    Takes only `_tokens` lines of one token, an optional ``-`` followed by
+    1 to 18 digits, all in range; for anything else it returns None.
     """
-    a = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    ends = np.flatnonzero(a == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    neg = a[starts] == ord("-")
-    digits = ends - starts - neg
-    n_digit_bytes = np.count_nonzero(a - ord("0") < 10)  # uint8: wraps below "0"
-    if (n_digit_bytes + ends.size + np.count_nonzero(neg) != a.size
-            or digits.min() < 1 or digits.max() > 18):
+    if (tokens := _tokens(text, 1)) is None:
         return None
-    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    a, starts, ends = tokens
+    digits = ends - starts - (a[starts] == ord("-"))
+    if digits.min() < 1 or digits.max() > 18:
+        return None
+    values = np.fromstring(a, dtype=np.int64, sep=" ")
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     if int(values.min()) < lo or int(values.max()) > hi:
         return None
@@ -244,15 +257,24 @@ def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0) -> list[PinIn
 def _parse_trace_chunk(text: str) -> np.ndarray | None:
     """The cycles of `_read_chunks` text in one pass, or None.
 
-    An (n, 4) array of `nd din we ldin` columns, `-` as 0; takes only
-    `_TRACE_LINE` lines, and for anything else returns None.
+    An (n, 4) array of `nd din we ldin` columns, `-` as 0.  Takes only
+    `_tokens` lines of one-byte flags from ``0 1 -`` and values of 1 to 18
+    digits (signed on din only) or a lone `-` after a low flag.
     """
-    if _TRACE_LINE.sub("", text):
+    if (tokens := _tokens(text, 4)) is None:
         return None
-    a = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8)
-    dash = np.flatnonzero(a == ord("-"))
-    a[dash[a[dash + 1] < ord("0")]] = ord("0")  # a lone `-`, not a sign
-    return np.fromstring(a.tobytes(), dtype=np.int64, sep=" ").reshape(-1, 4)
+    a, starts, ends = tokens
+    first = a[starts]
+    digits = ends - starts
+    digits -= first == ord("-")  # 0 for a lone `-`
+    flags, values = first[:, ::2], digits[:, 1::2]
+    if ((ends[:, ::2] - starts[:, ::2]).max() > 1 or flags.max() > ord("1")
+            or values.max() > 18 or ((values == 0) & (flags == ord("1"))).any()
+            or ((first[:, 3] == ord("-")) & (values[:, 1] > 0)).any()):
+        return None
+    a[starts[digits == 0]] = ord("0")
+    del digits, values  # (freed before np.fromstring grows its buffer: less peak RSS)
+    return np.fromstring(a, dtype=np.int64, sep=" ").reshape(-1, 4)
 
 
 def _trace_rows(lines, first_line: int, first_cycle: int) -> np.ndarray:
@@ -261,7 +283,7 @@ def _trace_rows(lines, first_line: int, first_cycle: int) -> np.ndarray:
     return np.array(rows, dtype=object).reshape(-1, 4)
 
 
-@functools.cache  # built on the first response table, then reused
+@functools.cache  # built on the first response table or pin dump, then reused
 def _digit_groups() -> np.ndarray:
     """The 4-digit ASCII groups of 0 to 9999 as uint32, in four runs.
 
@@ -371,6 +393,29 @@ def _format_rows(table: np.ndarray) -> str:
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _format_pins(first: int, rdy: np.ndarray, dout: np.ndarray, rfd: np.ndarray) -> str:
+    """``"%d %d %d %d\\n"`` of each cycle's ``cycle rdy dout rfd``, from `first` on.
+
+    `dout` (int64 or Python ints) changes only on `rdy` cycles, as
+    `ChipModel.run` gives it, so each value it holds is formatted once and
+    gathered by row.  Rows are laid out as in `_format_rows`, the cycle in
+    as many 4-digit groups as the last one needs.
+    """
+    held = np.array([str(v) for v in [*dout[:1].tolist(), *dout[rdy].tolist()]], dtype=bytes)
+    n, w = len(rdy), held.itemsize
+    c = 4 * -(-len(str(max(first + n - 1, 0))) // 4)  # the last cycle's digits, in groups
+    buf = np.zeros((n, c + w + 6), dtype=np.uint8)
+    cycle, view = first + np.arange(n, dtype=np.int64), buf[:, :c].view(np.uint32)
+    for i, k in enumerate(range(c - 4, -1, -4)):  # digits k + 3 to k of each cycle
+        q = cycle // 10**k  # (leading zeros are blank while q < 10**4; the last 0 stays)
+        index = q % 10_000 + (_LEAD if k else _LAST) * (q < 10_000)
+        np.take(_digit_groups(), index, out=view[:, i], mode="clip")
+    buf[:, [c, c + 2, c + w + 3]], buf[:, -1] = ord(" "), ord("\n")
+    buf[:, c + 1], buf[:, c + w + 4] = rdy + ord("0"), rfd + ord("0")
+    buf[:, c + 3:c + 3 + w] = held.view(np.uint8).reshape(-1, w)[np.cumsum(rdy)]
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _parse_flag(token: str) -> bool:
     if token in ("-", "0"):
         return False
@@ -463,13 +508,10 @@ def _cmd_chipsim(args) -> int:
     nd, din, we, ldin = np.concatenate(chunks).T
     nd, we = nd.astype(bool), we.astype(bool)
     rdy, dout, rfd = chip.run(nd, din, we, ldin)
-    # one row per cycle; as uint8, not bool, the flags format faster
-    columns = (rdy.view(np.uint8), dout, rfd.view(np.uint8))
     with _open_text(args.outfile, "w") as fh:
         for start in range(0, len(rdy), _ROWS_PER_WRITE):
-            stop = min(start + _ROWS_PER_WRITE, len(rdy))
-            block = np.column_stack((np.arange(start, stop), *(c[start:stop] for c in columns)))
-            fh.write("%d %d %d %d\n" * (stop - start) % tuple(block.ravel().tolist()))
+            block = slice(start, start + _ROWS_PER_WRITE)
+            fh.write(_format_pins(start, rdy[block], dout[block], rfd[block]))
     _note(f"rdy_count={np.count_nonzero(rdy)} rfd_low={np.count_nonzero(~rfd)} "
           f"nd_dropped={np.count_nonzero(nd & we)}")
     return 0
@@ -566,6 +608,9 @@ def main(argv=None) -> int:
     except (DataError, InputRangeError, ProtocolError, OSError) as exc:
         _note(f"cicdec: error: {exc}")
         return 2
+    except MemoryError as exc:
+        _note(f"cicdec: error: out of memory{f': {exc}' if str(exc) else ''}")
+        return 1
     except UnicodeDecodeError as exc:
         # the codec's position counts from the start of the line, not the file
         byte = exc.object[exc.start]

@@ -4,6 +4,8 @@ import contextlib
 import io
 import math
 import os
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +30,17 @@ from cicdec import (
     run_trace,
     to_db,
 )
-from cicdec.cli import DataError, _format_rows, _parse_trace, _read_samples, main
+from cicdec.cli import (
+    DataError,
+    _format_pins,
+    _format_rows,
+    _parse_chunk,
+    _parse_trace,
+    _parse_trace_chunk,
+    _read_samples,
+    _trace_rows,
+    main,
+)
 from helpers import quiet_config
 
 
@@ -331,6 +343,36 @@ def test_chunked_reader_matches_line_parser(lines, newline, final_newline, bits,
     if want_err is not None:
         assert err.getvalue() == want_err + "\n"
     assert "Traceback" not in err.getvalue()
+
+
+# The one-pass sample-file grammar as a regex, the oracle of `_parse_chunk`'s
+# array checks: lines of an optional `-` and 1 to 18 digits.
+_SAMPLE_LINE = re.compile(r"-?[0-9]{1,18}\n")
+SAMPLE_FIELD = st.sampled_from(["0", "7", "-128", "127", "128", "-129", "-", "--", "-0",
+                                "+5", "9" * 18, "9" * 19, "-" + "9" * 18, "-" + "9" * 19])
+SAMPLE_CHUNK = st.one_of(
+    st.lists(SAMPLE_FIELD.map(lambda field: field + "\n"), min_size=1, max_size=4).map("".join),
+    # a space before the newline, a tab, or a blank line after it
+    st.lists(st.tuples(SAMPLE_FIELD, st.sampled_from(["\n", " \n", "\n\n", "\t\n"])),
+             min_size=1, max_size=4).map(lambda lines: "".join(map("".join, lines))),
+    st.lists(st.sampled_from(["1", "-", "9" * 18, " ", "  ", "\n", "\r", "x"]),
+             min_size=1, max_size=20).map("".join),
+)
+
+
+@given(text=SAMPLE_CHUNK, bits=st.sampled_from([8, 70]))
+@example(text="-0\n" + "9" * 18 + "\n", bits=70)
+@example(text="1\n\n2\n", bits=8)
+def test_parse_chunk_accepts_what_the_regex_accepts(text, bits):
+    values = _parse_chunk(text, bits)
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    canonical = not _SAMPLE_LINE.sub("", text)
+    want = _read_samples(text.split("\n"), 70) if canonical else None  # 18 digits fit
+    if want is not None and not all(lo <= v <= hi for v in want):
+        want = None
+    assert (values is None) == (want is None)
+    if values is not None:
+        assert values.tolist() == want
 
 
 # ---------------------------------------------------------------- usage errors
@@ -643,6 +685,54 @@ def test_chipsim_huge_latency_on_an_empty_trace(capsys, monkeypatch):
     assert (code, out, err) == (0, "", "rdy_count=0 rfd_low=0 nd_dropped=0\n")
 
 
+def test_chipsim_wide_dout_across_two_blocks(capsys, monkeypatch):
+    # 4096 cycles and 6 drain cycles fill two blocks; the one output is 76 bits wide
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 -32768 0 -\n" * 4096))
+    code, out, err = run_cli(capsys, "chipsim", "-N", "5", "-R", "4096", "-B", "16")
+    [y] = reference_decimate(CicConfig(5, 4096, 1, 16), [-32768] * 4096)
+    assert y < -(2**64)
+    assert (code, err) == (0, "rdy_count=1 rfd_low=0 nd_dropped=0\n")
+    assert out.splitlines() == [f"{c} 0 0 1" for c in range(4101)] + [f"4101 1 {y} 1"]
+
+
+def percent_pins(first, rdy, dout, rfd):
+    """The pin-dump rows of `_format_pins` by ``%d``, one value at a time."""
+    rows = [(first + c, int(r), d, int(f)) for c, (r, d, f) in
+            enumerate(zip(rdy.tolist(), dout.tolist(), rfd.tolist()))]
+    return "%d %d %d %d\n" * len(rows) % tuple(v for row in rows for v in row)
+
+
+# block starts: the first, one with 12-digit cycles, and one that ends at 2**63 - 2
+FIRST_CYCLES = [0, 10**12 - 2, 2**63 - 4097]
+
+
+@given(first=st.sampled_from(FIRST_CYCLES),
+       pins=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=40),
+       wide=st.booleans(), data=st.data())
+def test_format_pins_matches_percent_formatting(first, pins, wide, data):
+    rdy = np.array([r for r, _ in pins], dtype=bool)
+    rfd = np.array([f for _, f in pins], dtype=bool)
+    # dout holds the value of the last rdy cycle (the first before any)
+    values = st.integers(-(2**80), 2**80) if wide else st.integers(-(2**63), 2**63 - 1)
+    size = int(rdy.sum()) + 1
+    held = data.draw(st.lists(values, min_size=size, max_size=size))
+    dout = np.array(held, dtype=object if wide else np.int64)[np.cumsum(rdy)]
+    assert _format_pins(first, rdy, dout, rfd) == percent_pins(first, rdy, dout, rfd)
+
+
+@pytest.mark.parametrize("first", FIRST_CYCLES)
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("n", [0, cli._ROWS_PER_WRITE])
+def test_format_pins_whole_and_empty_blocks(first, wide, n):
+    rng = np.random.default_rng(first % 1000)
+    rdy, rfd = rng.random(n) < 0.05, rng.random(n) < 0.9
+    held = rng.integers(-(2**63), 2**63 - 1, size=rdy.sum() + 1, endpoint=True).tolist()
+    if wide:
+        held = [v * 2**20 + 7 for v in held]  # up to 83 bits, either sign
+    dout = np.array(held, dtype=object if wide else np.int64)[np.cumsum(rdy)]
+    assert _format_pins(first, rdy, dout, rfd) == percent_pins(first, rdy, dout, rfd)
+
+
 def test_chipsim_din_out_of_range(tmp_path, capsys):
     infile = tmp_path / "trace.txt"
     infile.write_text("1 300 0 -\n")
@@ -695,6 +785,24 @@ def test_oversized_size_flags_exit_one(tmp_path, capsys, argv, message):
                              "--out", str(outfile))
     assert (code, out, err) == (1, "", f"cicdec: error: {message}\n")
     assert not outfile.exists()
+
+
+def limit_address_space():
+    """In the child only: 2 GiB of address space, so that a huge allocation
+    fails at once, whatever the host's overcommit setting."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["chipsim", "-N", "2", "-R", "4", "--latency", str(10**12)], b"1 1 0 -\n"),
+    (["response", "-N", "2", "-R", "4", "--grid", str(10**12)], b""),
+], ids=["chipsim-latency", "response-grid"])
+def test_out_of_memory_is_one_error_line(argv, data):
+    proc = run_child(argv, data, stderr=subprocess.PIPE, preexec_fn=limit_address_space)
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert err.startswith("cicdec: error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # Fields the trace parser accepts, rejects or hands on to the chip model:
@@ -802,6 +910,46 @@ def test_chipsim_any_trace_exits_cleanly(tmp_path_factory, lines, newline, bad_b
     dump = outfile.read_text() if outfile.exists() else None
     assert (code, err.getvalue(), dump) == chipsim_oracle(infile, bits, rmax)
     assert out.getvalue() == ""
+
+
+# The one-pass trace grammar as a regex, the oracle of `_parse_trace_chunk`'s
+# array checks: single spaces, 1 to 18 ASCII digits, a sign on din only, and a
+# `-` din or ldin only where nd or we is low.  Lines are checked by deleting
+# every match.
+_TRACE_LINE = re.compile(r"(?:[01-] -?[0-9]{1,18}|[0-] -) (?:[01-] [0-9]{1,18}|[0-] -)\n")
+TRACE_FIELD = st.sampled_from(["0", "1", "-", "--", "-0", "-5", "42",
+                               "9" * 18, "9" * 19, "-" + "9" * 18, "-" + "9" * 19])
+TRACE_SEP = st.sampled_from([" ", " ", "  "])
+# single spaces and one-byte flags: a line the regex takes unless a value
+# field has 19 digits, `--`, a sign on ldin or a lone `-` after a high flag
+CANONICAL_TRACE_LINE = st.tuples(
+    TRACE_FLAG, st.sampled_from(["-", "0", "42", "-5", "-0", "9" * 18, "-" + "9" * 18, "9" * 19]),
+    TRACE_FLAG, st.sampled_from(["-", "0", "7", "9" * 18, "9" * 19, "-7", "--"]),
+).map(lambda fields: " ".join(fields) + "\n")
+# double spaces, trailing spaces, blank lines and any field in any column
+NOISY_TRACE_LINE = st.tuples(
+    TRACE_FIELD, TRACE_SEP, TRACE_FIELD, TRACE_SEP, TRACE_FIELD, TRACE_SEP, TRACE_FIELD,
+    st.sampled_from(["\n", " \n", "\n\n"]),
+).map("".join)
+TRACE_CHUNK = st.one_of(
+    st.lists(CANONICAL_TRACE_LINE, min_size=1, max_size=4).map("".join),
+    st.lists(st.one_of(CANONICAL_TRACE_LINE, NOISY_TRACE_LINE), min_size=1, max_size=4)
+    .map("".join),
+    st.lists(st.sampled_from(["0", "1", "-", " ", "\n", "9" * 18, "9" * 19, "--", "-0"]),
+             min_size=1, max_size=24).map("".join),
+)
+
+
+@given(text=TRACE_CHUNK)
+@example(text="0 - 1 -\n")  # a lone `-` ldin with we=1
+@example(text="1 - 0 5\n")  # a lone `-` din with nd=1
+@example(text="- - - -\n0 -0 1 " + "9" * 18 + "\n")
+@example(text="1 5 0 -5\n")  # a signed ldin
+def test_parse_trace_chunk_accepts_what_the_regex_accepts(text):
+    rows = _parse_trace_chunk(text)
+    assert (rows is not None) == (not _TRACE_LINE.sub("", text))
+    if rows is not None:
+        assert rows.tolist() == _trace_rows(text.split("\n"), 1, 0).tolist()
 
 
 # ---------------------------------------------------------------- sdm
