@@ -51,7 +51,7 @@ from .sdm import OUTPUT_BITS, SigmaDeltaModulator
 #: next line end, so the input is never held in memory whole.
 _CHUNK_CHARS = 1 << 20
 
-#: Response-table and pin-dump rows formatted per write, so the formatting
+#: Response-table, pin-dump and `sdm` rows formatted per write, so the formatting
 #: buffers never hold the whole table.
 _ROWS_PER_WRITE = 4096
 
@@ -522,12 +522,15 @@ def _cmd_sdm(args) -> int:
         raise ConfigError(f"dc level {args.dc} outside [-1, 1]")
     if args.count < 0:
         raise ConfigError(f"count must be >= 0, got {args.count}")
-    bits = SigmaDeltaModulator().stream(args.dc, args.count)
+    # written `_ROWS_PER_WRITE` bits at a time as they are made, counted as they go
+    modulator, total = SigmaDeltaModulator(), 0
     with _open_text(args.outfile, "w") as fh:
-        for b in bits:
-            fh.write(f"{b}\n")
-    mean = sum(bits) / len(bits) if bits else 0.0
-    _note(f"bits={len(bits)} mean={mean:.6f} output_bits={OUTPUT_BITS}")
+        for start in range(0, args.count, _ROWS_PER_WRITE):
+            bits = modulator.stream(args.dc, min(_ROWS_PER_WRITE, args.count - start))
+            total += sum(bits)
+            fh.write("".join(f"{b}\n" for b in bits))
+    mean = total / args.count if args.count else 0.0
+    _note(f"bits={args.count} mean={mean:.6f} output_bits={OUTPUT_BITS}")
     return 0
 
 

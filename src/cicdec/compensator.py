@@ -29,6 +29,9 @@ from .analysis import (
     uniform_grid,
 )
 
+#: Elements a design matrix may hold (80 MB of doubles; `lstsq` needs a few such).
+_MAX_DESIGN_ELEMENTS = 10**7
+
 
 @dataclass(frozen=True)
 class FirFilter:
@@ -63,7 +66,9 @@ def design_compensator(
     amplitude of the symmetric FIR.  Solved by SVD (numpy lstsq); the cosine
     design matrix is too ill-conditioned for normal equations once the tap
     count grows.  The tap_count//2 + 1 free taps need at least as many grid
-    points; fewer would leave the fit underdetermined.
+    points; fewer would leave the fit underdetermined.  A design matrix of
+    grid_size x (tap_count//2 + 1) above 10**7 elements raises DomainError
+    before it is allocated.
     """
     if tap_count < 1 or tap_count % 2 == 0:
         raise ConfigError(f"tap_count must be odd and >= 1, got {tap_count}")
@@ -75,6 +80,11 @@ def design_compensator(
         raise DomainError(
             f"{tap_count} taps have {half + 1} free coefficients, more than "
             f"the {grid_size} grid points that would fit them"
+        )
+    if grid_size * (half + 1) > _MAX_DESIGN_ELEMENTS:
+        raise DomainError(
+            f"a {grid_size} x {half + 1} design matrix is above the bound of "
+            f"{_MAX_DESIGN_ELEMENTS} elements"
         )
 
     cic_mag = magnitude(config, grid / config.rate)

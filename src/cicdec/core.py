@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
+
+_SLICE = 1 << 30  # samples per engine pass: 32-bit limb sums are exact below 2**31
 
 
 class ConfigError(ValueError):
@@ -101,11 +103,12 @@ class DecimatorState:
         self._in_min = -(1 << (config.input_bits - 1))
         self._in_max = (1 << (config.input_bits - 1)) - 1
         # One W-bit wrap rule, ((v + half) & mask) - half, for ints and arrays.
-        # Blocks run in int64 while W fits it (wrapping mod 2**64, then to W
-        # bits, is wrapping to W bits), and on Python ints in object arrays above.
+        # Blocks run on K int64 limbs: a 1-D array while W <= 64, else (K, n)
+        # with K = ceil(W/32); `_top` is the half for the top limb's W-32(K-1) bits.
         self._half = 1 << (width - 1)
         self._mask = (1 << width) - 1
-        self._dtype = np.int64 if width <= 64 else object
+        self._k = k = 1 if width <= 64 else -(-width // 32)
+        self._top = np.int64(1 << (width - 32 * (k - 1) - 1)) if width != 64 else None
         self.reset()
 
     def reset(self) -> None:
@@ -166,29 +169,29 @@ class DecimatorState:
         1-of-R slice and N lag-M differences, each wrapped to W bits.
         """
         x = self._block_array(samples)
-        if not len(x):
-            return []
-        acc = self._integrators
-        v = x
-        for i in range(len(acc)):
-            v = np.cumsum(v)
-            v += acc[i]
-            self._wrap_array(v)
-            acc[i] = int(v[-1])
+        return list(chain(*[self._run(x[..., i:i + _SLICE]) for i in range(0, x.shape[-1], _SLICE)]))
 
+    def _run(self, v: np.ndarray) -> list[int]:
+        """`process_block` on a checked (K, n) limb array, n < 2**31, in place."""
+        n, acc = v.shape[-1], self._limbs(self._integrators)
+        for i in range(acc.shape[-1]):
+            v[..., 0] += acc[..., i]
+            v.cumsum(axis=-1, out=v)
+            acc[..., i] = self._wrap_array(v)[..., -1]
+        self._integrators[:] = self._ints(acc)
         r, m = self.config.rate, self.config.diff_delay
-        v = v[r - 1 - self.phase :: r]
-        self.phase = (self.phase + len(x)) % r
-        for line in self._combs:
-            ext = np.concatenate((np.array(line, dtype=self._dtype), v))
-            line[:] = ext[-m:].tolist()
-            v = self._wrap_array(ext[m:] - ext[:-m])
-        self.samples_in += len(x)
-        self.samples_out += len(v)
-        return v.tolist()
+        v = v[..., r - 1 - self.phase :: r]
+        self.phase = (self.phase + n) % r
+        for line in self._combs if v.shape[-1] else ():  # no outputs, no comb work
+            ext = np.concatenate((self._limbs(line), v), axis=-1)
+            line[:] = self._ints(ext[..., -m:])
+            v = self._wrap_array(ext[..., m:] - ext[..., :-m])
+        self.samples_in += n
+        self.samples_out += v.shape[-1]
+        return self._ints(v)
 
     def _block_array(self, samples) -> np.ndarray:
-        """Check a whole block; return it as a 1-D array of the block dtype."""
+        """Check a whole block; return it as a new (K, n) int64 limb array."""
         if isinstance(samples, np.ndarray) and samples.dtype.kind in "iu":
             if samples.ndim != 1:
                 raise InputRangeError(f"a block must be 1-D, got shape {samples.shape}")
@@ -196,7 +199,7 @@ class DecimatorState:
             # min/max in the array's own dtype, compared as Python ints:
             # exact for every dtype, so uint64 2**64-1 is out of range, not -1.
             lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
-        elif isinstance(samples, np.ndarray) and samples.dtype != object:
+        elif isinstance(samples, np.ndarray) and samples.dtype.kind != "O":
             raise InputRangeError(f"samples of dtype {samples.dtype} are not integers")
         else:
             values = list(samples)
@@ -212,18 +215,40 @@ class DecimatorState:
             first_bad = next(int(x) for x in values
                              if not self._in_min <= int(x) <= self._in_max)
             raise self._range_error(first_bad)
-        return np.asarray(values, dtype=self._dtype)
+        wide = self.config.input_bits > 64  # past int64: split from Python ints
+        return self._limbs(list(map(int, values)) if wide else np.array(values, dtype=np.int64))
+
+    def _limbs(self, values: list[int] | np.ndarray) -> np.ndarray:
+        """W-bit ints, Python or int64, as a (K, n) int64 limb array, low limb first."""
+        if self._k == 1:
+            return np.asarray(values, dtype=np.int64)
+        if isinstance(values, np.ndarray):  # a signed high word: the limbs add up to x
+            return np.stack((values & 0xFFFFFFFF, values >> 32, *[0 * values] * (self._k - 2)))
+        data = b"".join(v.to_bytes(4 * self._k, "little", signed=True) for v in values)
+        return np.frombuffer(data, "<u4").reshape(-1, self._k).T.astype(np.int64, order="C")
+
+    def _ints(self, v: np.ndarray) -> list[int]:
+        """The signed Python ints a wrapped (K, n) limb array holds."""
+        if self._k == 1:
+            return v.tolist()
+        rows = np.ascontiguousarray(v.T, dtype="<u4").view(f"V{4 * self._k}").ravel()
+        return [int.from_bytes(row, "little", signed=True) for row in rows.tolist()]
 
     def _wrap_array(self, v: np.ndarray) -> np.ndarray:
-        """Wrap `v` in place into W-bit two's complement; return it.
+        """Wrap the (K, n) limb array `v` in place to W bits; return it.
 
-        int64 sums wrap mod 2**64, which keeps the low W bits the mask takes
-        and leaves nothing to do at W = 64.
+        Each limb's carry (a borrow too: the shift is arithmetic) moves into
+        the next, and the top limb wraps to its W - 32(K-1) bits.  A one-limb
+        sum wraps mod 2**64, and so to W bits, with nothing to do at W = 64.
         """
-        if v.dtype == object or self.width < 64:
-            v += self._half
-            v &= self._mask
-            v -= self._half
+        for k in range(self._k - 1):
+            v[k + 1] += v[k] >> 32
+            v[k] &= 0xFFFFFFFF
+        if self._top is not None:
+            half, t = self._top, v[-1] if self._k > 1 else v
+            t += half
+            t &= half + (half - 1)
+            t -= half
         return v
 
 

@@ -18,8 +18,10 @@ from hypothesis import example, given, strategies as st
 from cicdec import (
     ChipModel,
     CicConfig,
+    DomainError,
     PinInputs,
     ProtocolError,
+    SigmaDeltaModulator,
     cli,
     design_compensator,
     gain,
@@ -577,6 +579,25 @@ def test_compensate_rejects_underdetermined_design(capsys):
     assert err.startswith("cicdec: error: ") and "Traceback" not in err
 
 
+def test_compensate_rejects_oversized_design_matrix(capsys):
+    # 400001 x 100001 doubles would be 320 GB; the bound stops it before
+    # anything that size is allocated
+    code, out, err = run_cli(capsys, "compensate", "-N", "2", "-R", "50",
+                             "--taps", "200001", "--grid", "400001")
+    assert (code, out) == (1, "")
+    assert err == ("cicdec: error: a 400001 x 100001 design matrix is above the bound "
+                   "of 10000000 elements\n")
+
+
+def test_compensate_bound_sits_above_the_benchmark_design(capsys):
+    # the benchmark's size: 2001 x 32 elements
+    code, out, _ = run_cli(capsys, "compensate", "-N", "6", "-R", "349", "-M", "2",
+                           "--taps", "63", "--grid", "2001")
+    assert code == 0 and len(out.splitlines()) == 63
+    with pytest.raises(DomainError, match="100001 x 100 design matrix"):
+        design_compensator(CicConfig(2, 50), 199, 0.25, grid_size=100001)
+
+
 def test_compensate_rejects_even_tap_count(capsys):
     assert run_cli(capsys, "compensate", "-N", "2", "-R", "50", "--taps", "4")[0] == 1
 
@@ -965,6 +986,38 @@ def test_sdm_stream_and_summary(tmp_path, capsys):
     assert len(bits) == 1000
     assert set(bits) <= {-1, 1}
     assert "bits=1000 mean=0.500000 output_bits=2" in err
+
+
+@pytest.mark.parametrize("count", [0, 1, 4096, 2 * 4096 + 5])
+def test_sdm_writes_what_the_modulator_streams(capsys, count):
+    # block by block, the bytes and the mean of one whole-list stream
+    bits = SigmaDeltaModulator().stream(0.3, count)
+    code, out, err = run_cli(capsys, "sdm", "--dc", "0.3", "--count", str(count))
+    assert code == 0
+    assert out == "".join(f"{b}\n" for b in bits)
+    mean = sum(bits) / len(bits) if bits else 0.0
+    assert err == f"bits={count} mean={mean:.6f} output_bits=2\n"
+
+
+def child_peak_rss_kb(argv, tmp_path):
+    """The peak RSS of `python -m cicdec.cli` alone, stdout to a file."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open(tmp_path / "out.txt", "wb") as out:
+        proc = subprocess.Popen([sys.executable, "-m", "cicdec.cli", *argv], stdout=out,
+                                stderr=subprocess.DEVNULL, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's rusage only
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss
+
+
+def test_sdm_memory_does_not_grow_with_count(tmp_path):
+    small = child_peak_rss_kb(["sdm", "--dc", "0.3", "--count", str(10**4)], tmp_path)
+    large = child_peak_rss_kb(["sdm", "--dc", "0.3", "--count", str(2 * 10**6)], tmp_path)
+    assert (tmp_path / "out.txt").stat().st_size > 2 * 10**6
+    assert large - small <= 10 * 1024
 
 
 def test_sdm_rejects_bad_level_and_count(capsys):

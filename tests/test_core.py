@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cicdec.core
 from cicdec import (
     ChipModel,
     CicConfig,
@@ -426,8 +427,10 @@ def test_block_and_push_share_state_at_width_override():
 
 # Configs whose register width lands on or just past the int64 limit
 # (N=3, R=8, M=1: W = B + 9, so B = 53..57 gives W = 62..66) or far above
-# it; small D keeps the reference convolution fast.
-WIDE_CONFIGS = [(3, 8, 1, b) for b in range(53, 58)] + [(3, 8, 2, 53), (3, 8, 1, 100), (2, 3, 1, 100)]
+# it, up to W = 134 (five 32-bit limbs), with inputs past int64 (B = 70, 100
+# and 125); small D keeps the reference convolution fast.
+WIDE_CONFIGS = [(3, 8, 1, b) for b in range(53, 58)] + [
+    (3, 8, 2, 53), (3, 8, 1, 100), (2, 3, 1, 100), (3, 8, 1, 125), (2, 8, 1, 70)]
 
 
 @st.composite
@@ -471,3 +474,51 @@ def test_push_and_block_interleavings_match_reference(case):
     assert state.samples_in == len(samples)
     assert state.samples_out == len(samples) // cfg.rate
     assert state.phase == len(samples) % cfg.rate
+
+
+@given(interleaved_feed(), st.integers(1, 7))
+def test_internal_passes_are_split_invariant(case, size):
+    """A block longer than `_SLICE` runs in passes; the state carries across
+    them and ends as the W-bit registers that pushing each sample leaves."""
+    cfg, samples, _ = case
+    state, pushed = DecimatorState(cfg), DecimatorState(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cicdec.core, "_SLICE", size)
+        outs = state.process_block(samples)
+    assert outs == reference_decimate(cfg, samples)
+    assert (state.phase, state.samples_in, state.samples_out) == (
+        len(samples) % cfg.rate, len(samples), len(samples) // cfg.rate)
+    assert [y for y in map(pushed.push, samples) if y is not None] == outs
+    assert engine_state(state) == engine_state(pushed)
+
+
+# W = 65, 96 and 97: one bit past a limb boundary, a full top limb and one bit
+# into a fresh limb.  N=3, R=8 (9 bits of growth) has inputs past int64 at 96
+# and 97; N=5, R=256 (40 bits) has int64 inputs at all three.
+CARRY_CONFIGS = [(3, 8, 1, 56), (3, 8, 1, 87), (3, 8, 1, 88),
+                 (5, 256, 1, 25), (5, 256, 1, 56), (5, 256, 1, 57)]
+
+
+@pytest.mark.parametrize("n, r, m, b", CARRY_CONFIGS)
+def test_carries_and_borrows_at_limb_edges(n, r, m, b):
+    """Runs of full-scale samples carry through every limb, and the swing
+    between the extremes borrows through them, at and around 32-bit edges."""
+    cfg = CicConfig(n, r, m, b)
+    assert required_width(cfg) in (65, 96, 97)
+    lo, hi = signed_range(b)
+    run = n * cfg.kernel_length + r
+    samples = [lo] * run + [hi] * run + [lo, hi] * run + [hi] * run + [lo] * run
+    expected = reference_decimate(cfg, samples)
+    assert min(expected) == lo * gain(cfg) and max(expected) == hi * gain(cfg)
+    whole, pushed = DecimatorState(cfg), DecimatorState(cfg)
+    assert whole.process_block(samples) == expected
+    assert [y for y in map(pushed.push, samples) if y is not None] == expected
+    assert engine_state(whole) == engine_state(pushed)  # W-bit registers both ways
+    state = DecimatorState(cfg)
+    cuts = [0, run // 3, run + 5, 3 * run, len(samples)]
+    outs = []
+    for a, z in zip(cuts, cuts[1:]):
+        piece = samples[a:z]
+        outs += state.process_block(np.array(piece) if b <= 63 else piece)
+    assert outs == expected
+    assert engine_state(state) == engine_state(whole)
