@@ -331,16 +331,19 @@ def _fixed_point(x: np.ndarray):
     return whole.astype(np.int64), frac, oracle
 
 
-def _whole_groups(whole: np.ndarray):
-    """`_digit_groups` indices of `whole` < 1e12 in three groups of 4 digits.
+def _int_groups(x: np.ndarray, groups: int):
+    """`_digit_groups` indices of int64 `x` in [0, 10**(4*groups)), 4 digits each,
+    high group first.
 
-    Leading zeros are blank, and 0 prints as ``0``.
+    A group's leading zeros are blank while every group above it is 0, and 0
+    prints as ``0``.
     """
-    w0 = whole // 10**8
-    w12 = whole - w0 * 10**8
-    w1 = w12 // 10**4
-    w2 = w12 - w1 * 10**4
-    return w0 + _LEAD, w1 + _LEAD * (whole < 10**8), w2 + _LAST * (whole < 10**4)
+    rest = x
+    for k in range(4 * groups - 4, 0, -4):  # digits k + 3 to k of each value
+        g = rest // 10**k
+        yield g + _LEAD * (rest == x)
+        rest = rest - g * 10**k
+    yield rest + _LAST * (rest == x)
 
 
 def _frac_groups(frac: np.ndarray):
@@ -377,7 +380,7 @@ def _format_rows(table: np.ndarray) -> str:
     lut = _digit_groups()
     # mode="clip" only skips a bounds-check copy: every index is in range
     digits = buf[:, 1:13].view(np.uint32)
-    for i, index in enumerate(_whole_groups(whole)):
+    for i, index in enumerate(_int_groups(whole, 3)):
         np.take(lut, index, out=digits[:, i], mode="clip")
     digits = buf[:, 14:30].view(np.uint32)
     for i, index in enumerate(_frac_groups(frac)):
@@ -406,9 +409,7 @@ def _format_pins(first: int, rdy: np.ndarray, dout: np.ndarray, rfd: np.ndarray)
     c = 4 * -(-len(str(max(first + n - 1, 0))) // 4)  # the last cycle's digits, in groups
     buf = np.zeros((n, c + w + 6), dtype=np.uint8)
     cycle, view = first + np.arange(n, dtype=np.int64), buf[:, :c].view(np.uint32)
-    for i, k in enumerate(range(c - 4, -1, -4)):  # digits k + 3 to k of each cycle
-        q = cycle // 10**k  # (leading zeros are blank while q < 10**4; the last 0 stays)
-        index = q % 10_000 + (_LEAD if k else _LAST) * (q < 10_000)
+    for i, index in enumerate(_int_groups(cycle, c // 4)):
         np.take(_digit_groups(), index, out=view[:, i], mode="clip")
     buf[:, [c, c + 2, c + w + 3]], buf[:, -1] = ord(" "), ord("\n")
     buf[:, c + 1], buf[:, c + w + 4] = rdy + ord("0"), rfd + ord("0")

@@ -102,13 +102,12 @@ class DecimatorState:
         self.width = width = required_width(config)
         self._in_min = -(1 << (config.input_bits - 1))
         self._in_max = (1 << (config.input_bits - 1)) - 1
-        # One W-bit wrap rule, ((v + half) & mask) - half, for ints and arrays.
-        # Blocks run on K int64 limbs: a 1-D array while W <= 64, else (K, n)
-        # with K = ceil(W/32); `_top` is the half for the top limb's W-32(K-1) bits.
+        # One W-bit wrap rule, ((v + half) & mask) - half, in `push` and `_ints`.
+        # Blocks run unwrapped on K int64 limbs, exact mod 2**W: a 1-D array
+        # while W <= 64, else (K, n) with K = ceil(W/32).
         self._half = 1 << (width - 1)
         self._mask = (1 << width) - 1
-        self._k = k = 1 if width <= 64 else -(-width // 32)
-        self._top = np.int64(1 << (width - 32 * (k - 1) - 1)) if width != 64 else None
+        self._k = 1 if width <= 64 else -(-width // 32)
         self.reset()
 
     def reset(self) -> None:
@@ -166,7 +165,8 @@ class DecimatorState:
         any state changes, so a bad sample anywhere raises InputRangeError
         and leaves the state as it was.  The result is the same as pushing
         the samples one by one, computed on whole arrays: N running sums, a
-        1-of-R slice and N lag-M differences, each wrapped to W bits.
+        1-of-R slice and N lag-M differences, exact mod 2**W, with each value
+        that leaves the arrays wrapped to W bits.
         """
         x = self._block_array(samples)
         return list(chain(*[self._run(x[..., i:i + _SLICE]) for i in range(0, x.shape[-1], _SLICE)]))
@@ -177,7 +177,7 @@ class DecimatorState:
         for i in range(acc.shape[-1]):
             v[..., 0] += acc[..., i]
             v.cumsum(axis=-1, out=v)
-            acc[..., i] = self._wrap_array(v)[..., -1]
+            acc[..., i] = self._carry(v)[..., -1]
         self._integrators[:] = self._ints(acc)
         r, m = self.config.rate, self.config.diff_delay
         v = v[..., r - 1 - self.phase :: r]
@@ -185,10 +185,12 @@ class DecimatorState:
         for line in self._combs if v.shape[-1] else ():  # no outputs, no comb work
             ext = np.concatenate((self._limbs(line), v), axis=-1)
             line[:] = self._ints(ext[..., -m:])
-            v = self._wrap_array(ext[..., m:] - ext[..., :-m])
+            v = self._carry(ext[..., m:] - ext[..., :-m])
         self.samples_in += n
         self.samples_out += v.shape[-1]
-        return self._ints(v)
+        # The carried state is off by multiples of 2**W: a polynomial of degree < N
+        # after the integrators, which the N combs cancel past the first N*M outputs.
+        return self._ints(v, self.config.stages * m)
 
     def _block_array(self, samples) -> np.ndarray:
         """Check a whole block; return it as a new (K, n) int64 limb array."""
@@ -196,27 +198,27 @@ class DecimatorState:
             if samples.ndim != 1:
                 raise InputRangeError(f"a block must be 1-D, got shape {samples.shape}")
             values = samples
-            # min/max in the array's own dtype, compared as Python ints:
-            # exact for every dtype, so uint64 2**64-1 is out of range, not -1.
-            lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
         elif isinstance(samples, np.ndarray) and samples.dtype.kind != "O":
             raise InputRangeError(f"samples of dtype {samples.dtype} are not integers")
         else:
             values = list(samples)
             types = set(map(type, values))
-            for t in types:
-                if not _is_sample_type(t):
-                    bad = next(x for x in values if type(x) is t)
-                    raise InputRangeError(f"sample {bad!r} is not an integer")
-            if types != {int}:
+            if not all(map(_is_sample_type, types)):
+                bad = next(x for x in values if not _is_sample_type(type(x)))
+                raise InputRangeError(f"sample {bad!r} is not an integer")
+            if types != {int}:  # numpy scalars as Python ints: none wraps in the conversion
                 values = list(map(int, values))
-            lo, hi = (min(values), max(values)) if values else (0, 0)
+            try:  # past int64 is out of range while B <= 64: the check below finds it
+                values = np.array(values, dtype=np.int64 if self.config.input_bits <= 64 else object)
+            except OverflowError:
+                values = np.array(values, dtype=object)
+        # min/max compared as Python ints: exact for every dtype (uint64 2**64-1 is not -1)
+        lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
         if lo < self._in_min or hi > self._in_max:
-            first_bad = next(int(x) for x in values
-                             if not self._in_min <= int(x) <= self._in_max)
-            raise self._range_error(first_bad)
+            bad = (int(x) for x in values if not self._in_min <= int(x) <= self._in_max)
+            raise self._range_error(next(bad))
         wide = self.config.input_bits > 64  # past int64: split from Python ints
-        return self._limbs(list(map(int, values)) if wide else np.array(values, dtype=np.int64))
+        return self._limbs(values.tolist() if wide else values.astype(np.int64))
 
     def _limbs(self, values: list[int] | np.ndarray) -> np.ndarray:
         """W-bit ints, Python or int64, as a (K, n) int64 limb array, low limb first."""
@@ -227,28 +229,25 @@ class DecimatorState:
         data = b"".join(v.to_bytes(4 * self._k, "little", signed=True) for v in values)
         return np.frombuffer(data, "<u4").reshape(-1, self._k).T.astype(np.int64, order="C")
 
-    def _ints(self, v: np.ndarray) -> list[int]:
-        """The signed Python ints a wrapped (K, n) limb array holds."""
+    def _ints(self, v: np.ndarray, head: int | None = None) -> list[int]:
+        """The signed ints a (K, n) limb array holds, each column read as one 32K-bit
+        word (the int64 at K = 1); the first `head` (default all) wrapped to W bits."""
         if self._k == 1:
-            return v.tolist()
-        rows = np.ascontiguousarray(v.T, dtype="<u4").view(f"V{4 * self._k}").ravel()
-        return [int.from_bytes(row, "little", signed=True) for row in rows.tolist()]
+            values = v.tolist()
+        else:
+            rows = np.ascontiguousarray(v.T, dtype="<u4").view(f"V{4 * self._k}").ravel()
+            values = [int.from_bytes(row, "little", signed=True) for row in rows.tolist()]
+        half, mask = self._half, self._mask
+        values[:head] = [((x + half) & mask) - half for x in values[:head]]
+        return values
 
-    def _wrap_array(self, v: np.ndarray) -> np.ndarray:
-        """Wrap the (K, n) limb array `v` in place to W bits; return it.
-
-        Each limb's carry (a borrow too: the shift is arithmetic) moves into
-        the next, and the top limb wraps to its W - 32(K-1) bits.  A one-limb
-        sum wraps mod 2**64, and so to W bits, with nothing to do at W = 64.
-        """
+    def _carry(self, v: np.ndarray) -> np.ndarray:
+        """Move each limb's carry (a borrow too: the shift is arithmetic) into the
+        next, so that the limbs below the top are in [0, 2**32) and their running
+        sums stay exact; return `v`.  The top limb wraps only mod 2**64, by itself."""
         for k in range(self._k - 1):
             v[k + 1] += v[k] >> 32
             v[k] &= 0xFFFFFFFF
-        if self._top is not None:
-            half, t = self._top, v[-1] if self._k > 1 else v
-            t += half
-            t &= half + (half - 1)
-            t -= half
         return v
 
 

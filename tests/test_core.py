@@ -367,6 +367,19 @@ def test_block_range_check_reads_values_before_any_cast():
     assert state.samples_in == 0
 
 
+@pytest.mark.parametrize("bits", [8, 64])
+@pytest.mark.parametrize("bad", [2**63, -(2**63) - 1, np.uint64(2**64 - 1)], ids=repr)
+def test_list_block_past_int64_is_out_of_range(bits, bad):
+    """A list sample that int64 cannot hold is named by the range error,
+    and the state is left as it was."""
+    state = DecimatorState(CicConfig(2, 4, 1, bits))
+    state.process_block([3, -1, 5])
+    before = engine_state(state)
+    with pytest.raises(InputRangeError, match=f"sample {int(bad)} outside"):
+        state.process_block([1, 2, bad, 4])
+    assert engine_state(state) == before
+
+
 NOT_SAMPLES = [True, False, np.bool_(True), 0.5, 1.0, np.float64(1.0), "3", None]
 
 
@@ -494,9 +507,12 @@ def test_internal_passes_are_split_invariant(case, size):
 
 # W = 65, 96 and 97: one bit past a limb boundary, a full top limb and one bit
 # into a fresh limb.  N=3, R=8 (9 bits of growth) has inputs past int64 at 96
-# and 97; N=5, R=256 (40 bits) has int64 inputs at all three.
+# and 97; N=5, R=256 (40 bits) has int64 inputs at all three.  W = 46 and 62
+# are one limb whose int64 sums pass 2**63, so that the carried W-bit state
+# and the first outputs of each piece need the W-bit wrap as they leave.
 CARRY_CONFIGS = [(3, 8, 1, 56), (3, 8, 1, 87), (3, 8, 1, 88),
-                 (5, 256, 1, 25), (5, 256, 1, 56), (5, 256, 1, 57)]
+                 (5, 256, 1, 25), (5, 256, 1, 56), (5, 256, 1, 57),
+                 (5, 64, 1, 16), (3, 8, 1, 53)]
 
 
 @pytest.mark.parametrize("n, r, m, b", CARRY_CONFIGS)
@@ -504,7 +520,7 @@ def test_carries_and_borrows_at_limb_edges(n, r, m, b):
     """Runs of full-scale samples carry through every limb, and the swing
     between the extremes borrows through them, at and around 32-bit edges."""
     cfg = CicConfig(n, r, m, b)
-    assert required_width(cfg) in (65, 96, 97)
+    assert required_width(cfg) in (46, 62, 65, 96, 97)
     lo, hi = signed_range(b)
     run = n * cfg.kernel_length + r
     samples = [lo] * run + [hi] * run + [lo, hi] * run + [hi] * run + [lo] * run
