@@ -38,7 +38,6 @@ from .core import (
 from .analysis import (
     DomainError,
     alias_attenuation,
-    null_frequencies,
     passband_droop,
     response_curve,
 )
@@ -51,8 +50,8 @@ from .sdm import OUTPUT_BITS, SigmaDeltaModulator
 #: next line end, so the input is never held in memory whole.
 _CHUNK_CHARS = 1 << 20
 
-#: Response-table, pin-dump and `sdm` rows formatted per write, so the formatting
-#: buffers never hold the whole table.
+#: Response-table, pin-dump and `sdm` rows (and `info` nulls) formatted per
+#: write, so the formatting buffers never hold the whole table.
 _ROWS_PER_WRITE = 4096
 
 # 10**k for k = 0..15 (each exact as a double) and, as int64, k = 0..16;
@@ -202,24 +201,39 @@ def _line_chunks(fh):
 def _read_chunks(fh, parse_chunk, parse_lines):
     """Yield the rows of `fh`, parsed one `_line_chunks` chunk at a time.
 
-    A chunk's ``#`` comment lines are deleted, and a chunk with nothing else
+    A chunk's ``#`` comment lines are deleted, searched for only over the
+    lines from its first ``#`` to its last, and a chunk with nothing else
     yields nothing.  The rest, ending in a newline, goes to the one-pass
     `parse_chunk` if ASCII; where that returns None, the chunk's lines go to
     the reference ``parse_lines(lines, first_line, first_row)``, numbered
-    from the start of the file.
+    from the start of the file.  Lines are counted without a pass of their
+    own where `parse_chunk` succeeds: one row per line, plus the comments.
     """
     line_no, rows = 1, 0
     for text in _line_chunks(fh):
-        body = _COMMENT_LINE.sub("", "\n" + text)[1:] if "#" in text else text
-        if body:
-            if not body.endswith("\n"):
-                body += "\n"
-            values = parse_chunk(body) if body.isascii() else None
-            if values is None:  # (split's empty last item is a blank line to both)
-                values = parse_lines(text.split("\n"), line_no, rows)
-            rows += len(values)
-            yield values
-        line_no += text.count("\n")
+        body, comments = text, 0
+        if (first := text.find("#")) >= 0:
+            # ``_COMMENT_LINE.sub("", "\n" + text)[1:]``, searched from the
+            # newline before the first `#` line to the end of the last
+            start = text.rfind("\n", 0, first) + 1
+            if (end := text.find("\n", text.rfind("#"))) < 0:
+                end = len(text)
+            kept, comments = _COMMENT_LINE.subn("", "\n" + text[start:end])
+            body = text[:start - 1] + kept + text[end:] if start else (kept + text[end:])[1:]
+        unended = not text.endswith("\n")  # (only the last chunk, at most)
+        if not body:
+            line_no += comments - unended
+            continue
+        if not body.endswith("\n"):
+            body += "\n"
+        values = parse_chunk(body) if body.isascii() else None
+        if values is None:  # (split's empty last item is a blank line to both)
+            values = parse_lines(text.split("\n"), line_no, rows)
+            line_no += text.count("\n")
+        else:
+            line_no += len(values) + comments - unended
+        rows += len(values)
+        yield values
 
 
 def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0) -> list[PinInputs]:
@@ -468,6 +482,9 @@ def _cmd_decimate(args) -> int:
 def _cmd_response(args) -> int:
     config = _config_from(args, bits=False)
     curve = response_curve(config, args.grid)
+    if args.fp is not None:  # checked before the table, so a bad edge writes none
+        droop = passband_droop(config, args.fp)
+        alias = alias_attenuation(config, args.fp)
     columns = (curve.freqs, curve.mag_db, curve.phase_rad)
     with _open_text(args.outfile, "w") as fh:
         fh.write("f,mag_db,phase_rad\n")
@@ -475,8 +492,6 @@ def _cmd_response(args) -> int:
             block = np.stack([c[start:start + _ROWS_PER_WRITE] for c in columns], axis=1)
             fh.write(_format_rows(block))
     if args.fp is not None:
-        droop = passband_droop(config, args.fp)
-        alias = alias_attenuation(config, args.fp)
         _note(f"droop_db={_round_away(droop)} alias_db={_round_away(alias)}")
     return 0
 
@@ -537,15 +552,16 @@ def _cmd_sdm(args) -> int:
 
 def _cmd_info(args) -> int:
     config = _config_from(args)
-    nulls = ",".join(f"{f:.12g}" for f in null_frequencies(config))
-    print(
-        f"N={config.stages} R={config.rate} M={config.diff_delay} "
-        f"B={config.input_bits}"
-    )
-    print(f"D={config.kernel_length}")
-    print(f"gain={gain(config)}")
-    print(f"width={required_width(config)}")
-    print(f"nulls={nulls}")
+    d = config.kernel_length
+    with _open_text("-", "w") as fh:
+        fh.write(f"N={config.stages} R={config.rate} M={config.diff_delay} "
+                 f"B={config.input_bits}\nD={d}\ngain={gain(config)}\n"
+                 f"width={required_width(config)}\nnulls=")
+        # `null_frequencies`' k/D, written `_ROWS_PER_WRITE` at a time as they are made
+        for start in range(1, d // 2 + 1, _ROWS_PER_WRITE):
+            stop = min(start + _ROWS_PER_WRITE, d // 2 + 1)
+            fh.write("," * (start > 1) + ",".join(f"{k / d:.12g}" for k in range(start, stop)))
+        fh.write("\n")
     return 0
 
 

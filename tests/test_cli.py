@@ -26,6 +26,7 @@ from cicdec import (
     design_compensator,
     gain,
     magnitude,
+    null_frequencies,
     phase,
     reference_decimate,
     response_curve,
@@ -116,6 +117,7 @@ def test_decimate_leaves_a_byte_stdin_open(capsys, monkeypatch):
 @pytest.mark.parametrize("stream, argv", [
     ("stdin", ["decimate", "-N", "1", "-R", "1"]),
     ("stdout", ["sdm", "--dc", "0.5", "--count", "3"]),
+    ("stdout", ["info", "-N", "2", "-R", "4"]),
 ])
 def test_closed_stdio_is_a_data_error(capsys, monkeypatch, stream, argv):
     # (Python sets sys.stdin or sys.stdout to None when its descriptor is closed)
@@ -200,18 +202,39 @@ def test_plain_sample_files_skip_the_line_parser(tmp_path, capsys, monkeypatch, 
     assert outfile.read_text() == expected
 
 
-def test_decimate_error_in_second_chunk_reports_absolute_line(tmp_path, capsys):
-    # one chunk of the default size holds _CHUNK_CHARS // 2 lines of "0"
-    first_chunk = cli._CHUNK_CHARS // 2
-    bad_line = first_chunk + 37
+@pytest.mark.parametrize("command, comments", [
+    ("decimate", []),
+    ("decimate", [0, 1000, 1000, 70_000]),
+    ("chipsim", [0, 500, 100_000]),
+], ids=["decimate", "decimate-comments", "chipsim-comments"])
+def test_decimate_error_in_second_chunk_reports_absolute_line(tmp_path, capsys, monkeypatch,
+                                                              command, comments):
+    # One chunk of the default size holds about _CHUNK_CHARS / len(row) lines.
+    # The first is parsed in one pass, with `#` lines (a header, or inserted
+    # before the rows at these indices), so the bad line's number comes from
+    # its rows and comments; only the second chunk reaches the line parser.
+    row = "0" if command == "decimate" else "1 0 0 -"
+    rows = cli._CHUNK_CHARS // len(row + "\n") + 36
+    lines = [row] * rows
+    for index in reversed(comments):
+        lines.insert(index, "# comment" if index else "# head")
+    bad_line = len(lines) + 1
     infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
-    infile.write_text("0\n" * (bad_line - 1) + "0x10\n" + "0\n" * 5)
+    infile.write_text("\n".join(lines + ["0x10"] + [row] * 5) + "\n")
+    line_parser = "_read_samples" if command == "decimate" else "_parse_trace"
+    spy = mock.Mock(wraps=getattr(cli, line_parser))
+    monkeypatch.setattr(cli, line_parser, spy)
     code, out, err = run_cli(
-        capsys, "decimate", "-N", "2", "-R", "4", "-B", "8",
+        capsys, command, "-N", "2", "-R", "4", "-B", "8",
         "--in", str(infile), "--out", str(outfile),
     )
+    assert spy.call_count == 1
     assert code == 2
-    assert f"cicdec: error: line {bad_line}: not an integer: '0x10'" in err
+    if command == "decimate":
+        assert err == f"cicdec: error: line {bad_line}: not an integer: '0x10'\n"
+    else:
+        assert err == (f"cicdec: error: cycle {rows} (line {bad_line}): "
+                       f"expected 'nd din we ldin', got '0x10'\n")
     assert not outfile.exists()  # nothing is written before the input has parsed
 
 
@@ -332,6 +355,7 @@ def reference_run(text, bits, cfg):
 @example(lines=["# head", "1", "2", "\u0663", "-4"], newline="\n", final_newline=True,
          bits=8, chunk=6)
 @example(lines=["1", "\udcff"], newline="\n", final_newline=True, bits=8, chunk=48)
+@example(lines=["# a", "#", "1", "x"], newline="\n", final_newline=True, bits=8, chunk=2)
 def test_chunked_reader_matches_line_parser(lines, newline, final_newline, bits, chunk):
     text = newline.join(lines) + (newline if final_newline and lines else "")
     cfg = CicConfig(2, 3, 1, bits)
@@ -547,10 +571,11 @@ def test_response_minimal_grid(capsys):
 
 
 def test_response_bad_edge_exits_one(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "response", "-N", "2", "-R", "50", "--fp", "0.4",
     )
     assert code == 1
+    assert out == ""  # the edge is checked before any row is written
     assert "error" in err
 
 
@@ -1053,6 +1078,23 @@ def test_info_reports_design_figures(capsys):
     nulls = next(line for line in lines if line.startswith("nulls="))
     assert nulls.split("=")[1].split(",")[0] == "0.02"
     assert nulls.endswith("0.5")
+
+
+@pytest.mark.parametrize("rate", [1, 2 * cli._ROWS_PER_WRITE, 2 * cli._ROWS_PER_WRITE + 3])
+def test_info_writes_every_null_frequency(capsys, rate):
+    # nulls written in blocks of _ROWS_PER_WRITE read as one joined list
+    cfg = CicConfig(2, rate, 1, 16)
+    code, out, _ = run_cli(capsys, "info", "-N", "2", "-R", str(rate))
+    assert code == 0
+    assert out.splitlines()[-1] == "nulls=" + ",".join(f"{f:.12g}" for f in null_frequencies(cfg))
+    assert out.endswith("\n")
+
+
+def test_info_memory_does_not_grow_with_rate(tmp_path):
+    small = child_peak_rss_kb(["info", "-N", "3", "-R", str(10**4)], tmp_path)
+    large = child_peak_rss_kb(["info", "-N", "3", "-R", str(2 * 10**6)], tmp_path)
+    assert (tmp_path / "out.txt").stat().st_size > 10**6
+    assert large - small <= 10 * 1024
 
 
 def test_cli_output_is_deterministic(capsys):
