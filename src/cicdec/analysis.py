@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CicConfig
+from .core import CicConfig, _integer, _real
 
 
 class DomainError(ValueError):
@@ -37,9 +37,17 @@ def _shaped_like(arg, values: np.ndarray):
     return values.reshape(np.shape(arg))
 
 
+def _floats(x, name: str) -> np.ndarray:
+    """`x`, a number (the real rule) or an int or float array, flattened to float64."""
+    xa = np.asarray(x if isinstance(x, np.ndarray) or np.ndim(x) else _real(x, name, DomainError))
+    if xa.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a number, got an array of {xa.dtype}")
+    return xa.astype(np.float64, copy=False).ravel()
+
+
 def _frequencies(f) -> np.ndarray:
     """`f` flattened to float64, every element checked against [0, 0.5]."""
-    fa = np.asarray(f, dtype=np.float64).ravel()
+    fa = _floats(f, "frequency")
     bad = ~((fa >= 0.0) & (fa <= 0.5))  # NaN fails both sides
     if bad.any():
         raise DomainError(f"frequency {fa[bad][0]} outside [0, 0.5]")
@@ -48,7 +56,7 @@ def _frequencies(f) -> np.ndarray:
 
 def to_db(magnitude_linear: float | np.ndarray) -> float | np.ndarray:
     """20*log10 with exact zeros (and anything beneath the floor) at DB_FLOOR."""
-    m = np.asarray(magnitude_linear, dtype=np.float64).ravel()
+    m = _floats(magnitude_linear, "magnitude")
     floor = 10.0 ** (DB_FLOOR / 20.0)
     db = np.where(m <= floor, DB_FLOOR,
                   np.maximum(20.0 * np.log10(np.maximum(m, floor)), DB_FLOOR))
@@ -119,7 +127,9 @@ def null_frequencies(config: CicConfig) -> list[float]:
 
 
 def uniform_grid(stop: float, size: int) -> np.ndarray:
-    """`size` >= 2 points stop*i/(size-1), i = 0..size-1, in that rounding order."""
+    """`size` >= 2 points stop*i/(size-1), i = 0..size-1, in that rounding order;
+    `size` is a Python or numpy integer (not bool), or DomainError names grid_size."""
+    size = _integer(size, "grid_size", DomainError)
     if size < 2:
         raise DomainError(f"grid_size must be >= 2, got {size}")
     limit = np.iinfo(np.intp).max // 8  # the doubles an array can hold
@@ -143,22 +153,52 @@ def passband_droop(config: CicConfig, fp: float) -> float:
 def alias_attenuation(config: CicConfig, fp: float) -> float:
     """Worst-case rejection of the bands that fold onto [0, fp] after decimation.
 
-    After the rate drop, the regions within +-fp of every multiple of 1/R
-    alias into the passband.  The CIC magnitude peaks at the edges of each
-    such band, so the minimum attenuation over the edge frequencies
-    {k/R - fp, k/R + fp} is the worst-case alias rejection.  Capped at
-    -DB_FLOOR when every edge sits on an exact null (or R = 1, where no
-    aliasing occurs at all).
+    After the rate drop, the bands within +-fp of every multiple k/R of the
+    output rate alias into the passband (Hogenauer, 1981).  |sin(pi*D*f)| is
+    the same at f and f - k/R (D*k/R = k*M is an integer) while sin(pi*f)
+    grows up to f = 0.5, so the band around 1/R holds the worst case.  The
+    magnitude does not peak at a band's edges: between two adjacent nulls
+    j/D and (j+1)/D it has one peak, where D*tan(pi*f) = tan(pi*D*f), and
+    once M >= 2 a band is wider than 1/D and holds whole sidelobes.  So the
+    worst case is the largest magnitude over the band's edges and the peak
+    of each lobe that meets the band, clipped to the band.  Capped at
+    -DB_FLOOR when that is below the floor (or R = 1, where no aliasing
+    occurs at all).
     """
-    _check_passband_edge(config, fp)
-    centers = np.arange(1, config.rate // 2 + 1) / config.rate
-    edges = np.clip(np.concatenate((centers - fp, centers + fp)), 0.0, 0.5)
-    return -to_db(magnitude(config, edges).max(initial=0.0))
+    fp = _check_passband_edge(config, fp)
+    if config.rate == 1:
+        return -DB_FLOOR
+    d = config.kernel_length
+    lo, hi = 1 / config.rate - fp, min(1 / config.rate + fp, 0.5)
+    # lobes 1 <= j < D/2 (lobe 0 peaks at f = 0, below the band; [0, 0.5] ends in lobe (D-1)//2)
+    j = np.arange(max(math.floor(lo * d), 1), min(math.floor(hi * d), (d - 1) // 2) + 1)
+    f = np.concatenate(([lo, hi], np.clip(_lobe_peaks(d, j), lo, hi)))
+    return -to_db(magnitude(config, f).max())
 
 
-def _check_passband_edge(config: CicConfig, fp: float) -> None:
+def _lobe_peaks(d: int, j: np.ndarray) -> np.ndarray:
+    """The peak of |sin(pi*d*f) / sin(pi*f)| between the nulls j/d and (j+1)/d,
+    for integers 1 <= j < d/2.
+
+    With f = (j + theta/pi)/d and phi = pi*f the peak solves
+    theta = atan2(d*sin(phi), cos(phi)), which is d*tan(pi*f) = tan(pi*d*f);
+    four Newton steps from the lobe's middle, kept within it, find it to a
+    few ulps (the slope of the residual in theta is (d**2 - 1)*sin(phi)**2 /
+    (d**2*sin(phi)**2 + cos(phi)**2), in [0.85, 1] for these lobes).
+    """
+    theta = np.full(j.shape, math.pi / 2)
+    for _ in range(4):
+        phi = (math.pi * j + theta) / d
+        s, c = d * np.sin(phi), np.cos(phi)
+        q = s * s + c * c
+        np.clip(theta - (theta - np.arctan2(s, c)) * q / (q - 1), 0.0, math.pi, out=theta)
+    return (j + theta / math.pi) / d
+
+
+def _check_passband_edge(config: CicConfig, fp: float) -> float:
     limit = 1.0 / (2 * config.rate)
-    if not 0.0 < fp < limit:
+    if not 0.0 < (edge := _real(fp, "passband edge", DomainError)) < limit:
         raise DomainError(
             f"passband edge {fp} outside (0, {limit}) for rate {config.rate}"
         )
+    return edge

@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CicConfig, DecimatorState, DifferentialDelayWarning, required_width
+from .core import CicConfig, DecimatorState, DifferentialDelayWarning, _integer, _integers
+from .core import required_width
 
 
 class ProtocolError(ValueError):
@@ -42,11 +43,12 @@ def _pin_values(values) -> np.ndarray:
 
 
 def _all_within(values: np.ndarray, lo: int, hi: int) -> bool:
-    """Whether every element is a (non-bool) integer in [lo, hi]."""
+    """Whether every element passes the integer rule and lies in [lo, hi]."""
     if values.dtype == object:
-        values = values.tolist()
-        if set(map(type, values)) - {int}:
-            return False  # numpy scalars, bools and the rest go to the oracle
+        try:
+            values = _integers(values.tolist(), "pin", ProtocolError)
+        except ProtocolError:
+            return False  # the oracle raises the error of the cycle at fault
         return not values or lo <= min(values) and max(values) <= hi
     if values.dtype.kind not in "iu":
         return False
@@ -77,7 +79,9 @@ class ChipModel:
 
     `latency` models the registers between comb-chain completion and `dout`
     visibility; it defaults to one register per stage plus an output
-    register.  Outputs in flight are held as (exit cycle, value) pairs, so
+    register.  `latency` and `rate_range`'s two bounds are Python or numpy
+    integers (not bool), kept as Python ints, or ProtocolError is raised.
+    Outputs in flight are held as (exit cycle, value) pairs, so
     latency costs the model no memory (`cicdec chipsim` still writes
     `latency` idle drain rows).  `width` is the register width the chip is
     built with: sized for the largest allowed rate when the rate is
@@ -91,23 +95,27 @@ class ChipModel:
         latency: int | None = None,
         rate_range: tuple[int, int] | None = None,
     ):
-        if latency is None:
-            latency = config.stages + 1
+        latency = _integer(config.stages + 1 if latency is None else latency, "latency",
+                           ProtocolError)
         if latency < 1:
             raise ProtocolError(f"latency must be >= 1, got {latency}")
         if latency > np.iinfo(np.intp).max:  # chipsim's drain: an array length
             raise ProtocolError(f"latency must be <= {np.iinfo(np.intp).max}, got {latency}")
         self.latency = latency
-        self.rate_range = rate_range
         r_max = config.rate
         if rate_range is not None:
-            r_min, r_max = rate_range
+            bounds = list(rate_range) if np.iterable(rate_range) else []
+            if len(bounds) != 2:
+                raise ProtocolError(f"rate_range must be a pair of integers, got {rate_range!r}")
+            r_min, r_max = _integers(bounds, "a rate_range bound", ProtocolError)
             if not 1 <= r_min <= r_max:
                 raise ProtocolError(f"bad rate range {rate_range}")
             if not r_min <= config.rate <= r_max:
                 raise ProtocolError(
                     f"initial rate {config.rate} outside range {rate_range}"
                 )
+            rate_range = (r_min, r_max)
+        self.rate_range = rate_range
         self.width = required_width(_at_rate(config, r_max))
         self.core = DecimatorState(config)
         # outputs in flight as (exit cycle, value), oldest first
@@ -150,11 +158,11 @@ class ChipModel:
         """Advance one clock edge per element of the pin arrays.
 
         `nd` and `we` are boolean arrays; `din` and `ldin` are integer
-        arrays or sequences of Python ints, all of one length.  Returns the
-        `(rdy, dout, rfd)` arrays (`dout` is int64 while `width` fits it,
-        Python ints above) and leaves the state that folding `tick` over the
-        same cycles would, so a trace may be split over several calls and
-        interleaved with `tick`.  Each cycle is checked before any state
+        arrays or sequences of Python or numpy ints, all of one length.
+        Returns the `(rdy, dout, rfd)` arrays (`dout` is int64 while `width`
+        fits it, Python ints above) and leaves the state that folding `tick`
+        over the same cycles would, so a trace may be split over several
+        calls and interleaved with `tick`.  Each cycle is checked before any state
         changes; if one is invalid, the cycles are folded through
         `run_trace`, which raises its ProtocolError, cycle index and state.
         """

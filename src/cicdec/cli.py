@@ -22,6 +22,7 @@ import functools
 import io
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from decimal import Decimal, ROUND_HALF_UP
 
@@ -31,7 +32,9 @@ from .core import (
     CicConfig,
     ConfigError,
     DecimatorState,
+    DifferentialDelayWarning,
     InputRangeError,
+    _signed_range,
     gain,
     required_width,
 )
@@ -123,7 +126,7 @@ def _read_samples(lines, bits: int, first_line: int = 1) -> list[int]:
 
     The reference parser, and the only source of sample-file DataErrors.
     """
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    lo, hi = _signed_range(bits)
     samples = []
     for line_no, raw in enumerate(lines, start=first_line):
         line = raw.strip()
@@ -176,7 +179,7 @@ def _parse_chunk(text: str, bits: int) -> np.ndarray | None:
     if digits.min() < 1 or digits.max() > 18:
         return None
     values = np.fromstring(a, dtype=np.int64, sep=" ")
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    lo, hi = _signed_range(bits)
     if int(values.min()) < lo or int(values.max()) > hi:
         return None
     return values
@@ -620,23 +623,26 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except (ConfigError, DomainError) as exc:
-        _note(f"cicdec: error: {exc}")
-        return 1
-    except (DataError, InputRangeError, ProtocolError, OSError) as exc:
-        _note(f"cicdec: error: {exc}")
-        return 2
-    except MemoryError as exc:
-        _note(f"cicdec: error: out of memory{f': {exc}' if str(exc) else ''}")
-        return 1
-    except UnicodeDecodeError as exc:
-        # the codec's position counts from the start of the line, not the file
-        byte = exc.object[exc.start]
-        _note(f"cicdec: error: input is not {exc.encoding} text: byte {byte:#04x}: "
-              f"{exc.reason}")
-        return 2
+    with warnings.catch_warnings():  # the caller's filters come back on return
+        warnings.simplefilter("always", DifferentialDelayWarning)
+        warnings.showwarning = lambda message, *_: _note(f"cicdec: warning: {message}")
+        try:
+            return args.func(args)
+        except (ConfigError, DomainError) as exc:
+            _note(f"cicdec: error: {exc}")
+            return 1
+        except (DataError, InputRangeError, ProtocolError, OSError) as exc:
+            _note(f"cicdec: error: {exc}")
+            return 2
+        except MemoryError as exc:
+            _note(f"cicdec: error: out of memory{f': {exc}' if str(exc) else ''}")
+            return 1
+        except UnicodeDecodeError as exc:
+            # the codec's position counts from the start of the line, not the file
+            byte = exc.object[exc.start]
+            _note(f"cicdec: error: input is not {exc.encoding} text: byte {byte:#04x}: "
+                  f"{exc.reason}")
+            return 2
 
 
 if __name__ == "__main__":

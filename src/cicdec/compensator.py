@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CicConfig, ConfigError
+from .core import CicConfig, ConfigError, _integer, _real
 from .analysis import (
     DomainError,
     ResponseCurve,
+    _floats,
     _shaped_like,
     magnitude,
     phase,
@@ -51,7 +52,7 @@ class FirFilter:
         A float gives a complex back; an array of g gives an array, computed
         as one exp(-2*pi*i*g*k) @ taps product over the whole grid.
         """
-        gs = np.asarray(g, dtype=np.float64).ravel()
+        gs = _floats(g, "frequency")
         kernel = np.exp(-2j * math.pi * np.multiply.outer(gs, np.arange(len(self.taps))))
         return _shaped_like(g, kernel @ np.asarray(self.taps))
 
@@ -70,11 +71,10 @@ def design_compensator(
     grid_size x (tap_count//2 + 1) above 10**7 elements raises DomainError
     before it is allocated.
     """
+    tap_count = _integer(tap_count, "tap_count", ConfigError)
     if tap_count < 1 or tap_count % 2 == 0:
         raise ConfigError(f"tap_count must be odd and >= 1, got {tap_count}")
-    if not 0.0 < fp_out < 0.5:
-        raise DomainError(f"fp_out {fp_out} outside (0, 0.5)")
-    grid = uniform_grid(fp_out, grid_size)
+    grid = uniform_grid(_check_fp_out(fp_out), grid_size)
     half = tap_count // 2
     if half + 1 > grid_size:
         raise DomainError(
@@ -121,8 +121,12 @@ def composite_response(
 
 def passband_deviation_db(config: CicConfig, fir: FirFilter, fp_out: float) -> float:
     """Max |dB| of the cascade over [0, fp_out] at the output rate, on 1001 points."""
-    if not 0.0 < fp_out < 0.5:
-        raise DomainError(f"fp_out {fp_out} outside (0, 0.5)")
-    g = uniform_grid(fp_out, 1001)
+    g = uniform_grid(_check_fp_out(fp_out), 1001)
     level = magnitude(config, g / config.rate) * np.abs(fir.response_at(g))
     return float(np.abs(to_db(level)).max())
+
+
+def _check_fp_out(fp_out: float) -> float:
+    if not 0.0 < (edge := _real(fp_out, "fp_out", DomainError)) < 0.5:
+        raise DomainError(f"fp_out {fp_out} outside (0, 0.5)")
+    return edge

@@ -31,13 +31,44 @@ class DifferentialDelayWarning(UserWarning):
     """Differential delay outside the usual {1, 2} design range."""
 
 
+def _integer(value, name: str, error: type[ValueError]) -> int:
+    """The integer rule for every public argument: a Python or numpy integer,
+    never bool, becomes a Python int; anything else raises `error`."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _integers(values: list, name: str, error: type[ValueError]) -> list[int]:
+    """`_integer` on each of `values`; a list of Python ints is returned as it is."""
+    return values if set(map(type, values)) <= {int} else [_integer(x, name, error) for x in values]
+
+
+def _real(value, name: str, error: type[ValueError]) -> float:
+    """The real-number rule for every public argument: a Python or numpy integer
+    or float, never bool, becomes a float (an int past the doubles an infinity,
+    which every range check rejects); anything else raises `error`."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return float("inf") if value > 0 else float("-inf")
+    raise error(f"{name} must be a number, got {value!r}")
+
+
+def _signed_range(bits: int) -> tuple[int, int]:
+    return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+
+
 @dataclass(frozen=True)
 class CicConfig:
     """CIC design tuple: stage count, rate change, differential delay, input bits.
 
     Construction is the only validation: the fields are checked here once
     and the frozen instance is trusted after that (`dataclasses.replace`
-    builds, and so checks, a new one).  A differential delay above 2 is
+    builds, and so checks, a new one): each field is a Python or numpy
+    integer (not bool), kept as a Python int, and at least 1, or ConfigError
+    is raised.  A differential delay above 2 is
     accepted but warned about, at the caller's line, since such designs are
     unusual (the nulls bunch up inside the would-be passband).
     """
@@ -49,9 +80,10 @@ class CicConfig:
 
     def __post_init__(self):
         for name in ("stages", "rate", "diff_delay", "input_bits"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            value = _integer(getattr(self, name), name, ConfigError)
+            if value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, value)  # a numpy int is kept as a Python int
         if self.diff_delay > 2:
             warnings.warn(
                 f"diff_delay={self.diff_delay} is outside the usual design range "
@@ -82,11 +114,6 @@ def required_width(config: CicConfig) -> int:
     return config.input_bits + (g - 1).bit_length()
 
 
-def _is_sample_type(t: type) -> bool:
-    """Samples are Python or numpy integers; bool is not a sample."""
-    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
-
-
 class DecimatorState:
     """Live state of a streaming Hogenauer decimator.
 
@@ -100,8 +127,7 @@ class DecimatorState:
     def __init__(self, config: CicConfig):
         self.config = config
         self.width = width = required_width(config)
-        self._in_min = -(1 << (config.input_bits - 1))
-        self._in_max = (1 << (config.input_bits - 1)) - 1
+        self._in_min, self._in_max = _signed_range(config.input_bits)
         # One W-bit wrap rule, ((v + half) & mask) - half, in `push` and `_ints`.
         # Blocks run unwrapped on K int64 limbs, exact mod 2**W: a 1-D array
         # while W <= 64, else (K, n) with K = ceil(W/32).
@@ -131,10 +157,7 @@ class DecimatorState:
         `x` is a Python or numpy integer within the signed B-bit input range;
         anything else raises InputRangeError and leaves the state unchanged.
         """
-        if type(x) is not int:
-            if not _is_sample_type(type(x)):
-                raise InputRangeError(f"sample {x!r} is not an integer")
-            x = int(x)
+        x = _integer(x, "sample", InputRangeError)
         if not self._in_min <= x <= self._in_max:
             raise self._range_error(x)
         half, mask = self._half, self._mask
@@ -201,13 +224,7 @@ class DecimatorState:
         elif isinstance(samples, np.ndarray) and samples.dtype.kind != "O":
             raise InputRangeError(f"samples of dtype {samples.dtype} are not integers")
         else:
-            values = list(samples)
-            types = set(map(type, values))
-            if not all(map(_is_sample_type, types)):
-                bad = next(x for x in values if not _is_sample_type(type(x)))
-                raise InputRangeError(f"sample {bad!r} is not an integer")
-            if types != {int}:  # numpy scalars as Python ints: none wraps in the conversion
-                values = list(map(int, values))
+            values = _integers(list(samples), "sample", InputRangeError)  # so no np.uint64 wraps
             try:  # past int64 is out of range while B <= 64: the check below finds it
                 values = np.array(values, dtype=np.int64 if self.config.input_bits <= 64 else object)
             except OverflowError:
@@ -260,6 +277,7 @@ def boxcar_power(length: int, order: int) -> list[int]:
     running sums over the zero-padded taps, so it is linear in the tap
     count and stays exact in Python integers at any width.
     """
+    length, order = _integer(length, "length", ConfigError), _integer(order, "order", ConfigError)
     taps = [1]
     pad = [0] * (length - 1)
     for _ in range(order):
@@ -275,7 +293,7 @@ def reference_decimate(config: CicConfig, samples) -> list[int]:
     outputs at indices m*R + R - 1, i.e. one output after every R inputs.
     No wrapping anywhere; results are exact Python integers.
     """
-    samples = list(samples)
+    samples = _integers(list(samples), "sample", InputRangeError)
     taps = boxcar_power(config.kernel_length, config.stages)
     r = config.rate
     out = []

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from cicdec import (
     CicConfig,
@@ -306,6 +306,69 @@ def test_alias_attenuation_matches_dense_band_scan():
             f = k / cfg.rate - fp + 2 * fp * i / 4000
             worst = max(worst, magnitude(cfg, min(max(f, 0.0), 0.5)))
     assert edge_based == pytest.approx(-to_db(worst), abs=0.01)
+
+
+def dense_band_scan(cfg, fp, points):
+    """Worst-case alias rejection in dB by brute force: `points` evenly spaced
+    frequencies over every band [k/R - fp, k/R + fp], k = 1..R//2, clipped to
+    [0, 0.5]; and a bound on how far that scan can sit above the true figure.
+
+    The scan includes each band's edges, so it can miss only an interior
+    peak of a lobe between nulls j/D and (j+1)/D, j >= 1.  There, with
+    f = (j + theta/pi)/D, 20*log10|H| is N*20/ln(10) times
+    log|sin(theta)| - log(D*sin(pi*f)), whose second derivative in theta is
+    at least -1/sin(theta)**2 (the second term's is positive).  The peak
+    solves tan(theta) = D*tan(pi*f) >= D*tan(pi/D) >= pi (D >= 3; D = 2 has no
+    such lobe below 0.5), so it lies in [atan(pi), pi/2], and the nearest scan
+    point is within h = pi*D*step/2 of it.  For h <= 0.05, sin(theta)**2 >=
+    sin(atan(pi) - 0.05)**2 over that span, and the scan's loss is at most
+    N*20/ln(10) * h**2 / (2*sin(atan(pi) - 0.05)**2).
+    """
+    t = np.linspace(-fp, fp, points)
+    f = np.clip(np.arange(1, cfg.rate // 2 + 1)[:, None] / cfg.rate + t, 0.0, 0.5)
+    scan_db = -to_db(magnitude(cfg, f).max(initial=0.0))
+    h = math.pi * cfg.kernel_length * (t[1] - t[0]) / 2
+    assert h <= 0.05
+    bound = cfg.stages * 20 / math.log(10) * h * h / (2 * math.sin(math.atan(math.pi) - 0.05) ** 2)
+    return scan_db, bound
+
+
+@given(st.integers(1, 6), st.integers(2, 512), st.integers(1, 3), st.floats(0.0, 0.5))
+@example(n=2, r=50, m=2, share=0.9)  # the edges alone gave 41.94 dB against 26.52
+@example(n=1, r=2, m=3, share=0.999)  # a band that is cut at f = 0.5
+def test_alias_attenuation_matches_a_dense_scan_of_every_band(n, r, m, share):
+    """Never above the scan (its points are in the bands) and within 0.01 dB
+    of it, the scan's own resolution error being shown below 0.01 dB."""
+    fp = share / (2 * r)
+    assume(fp > 0.0)
+    cfg = quiet_config(n, r, m)
+    scan_db, bound = dense_band_scan(cfg, fp, 1001)
+    assert bound < 0.005
+    got = alias_attenuation(cfg, fp)
+    assert scan_db - bound - 1e-9 <= got <= scan_db + 1e-9
+
+
+ALIAS_FIGURES = [  # (N, R, M, fp) and the worst case in dB, to 2 places
+    (2, 50, 2, 0.009, 26.52),  # the band edges alone give 41.94
+    (5, 50, 2, 0.008, 66.29),  # edges: 80.70
+    (2, 50, 1, 0.005, 20.90),
+    (4, 8, 1, 1 / 32, 41.31),
+    (3, 16, 3, 0.03, 41.84),
+    (6, 512, 2, 0.0009, 79.57),  # edges: 137.14
+    (1, 2, 2, 0.2, 11.30),  # edges: 14.82
+    (4, 266, 2, 0.000404751, 76.17),
+    (3, 100, 3, 0.004, 53.49),  # edges: 58.99
+]
+
+
+@pytest.mark.parametrize("n, r, m, fp, figure", ALIAS_FIGURES)
+def test_alias_attenuation_hand_picked_figures(n, r, m, fp, figure):
+    cfg = quiet_config(n, r, m)
+    scan_db, bound = dense_band_scan(cfg, fp, 20001)
+    got = alias_attenuation(cfg, fp)
+    assert scan_db - bound - 1e-9 <= got <= scan_db + 1e-9
+    assert abs(got - scan_db) <= 0.01
+    assert round(got, 2) == figure
 
 
 @pytest.mark.parametrize("fp", [0.0, 0.01, -0.005])

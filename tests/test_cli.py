@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ from hypothesis import example, given, strategies as st
 from cicdec import (
     ChipModel,
     CicConfig,
+    DifferentialDelayWarning,
     DomainError,
     PinInputs,
     ProtocolError,
@@ -270,11 +272,19 @@ def test_decimate_reads_a_real_stdin_pipe(data, argv, code, out, err):
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
 
 
+# a design outside the usual M range: the one warning a command prints
+WARN_ARGV = ["response", "-N", "2", "-R", "8", "-M", "3", "--grid", "2"]
+WARN_LINE = ("cicdec: warning: diff_delay=3 is outside the usual design range {1, 2}; "
+             "the response nulls move into the passband\n")
+WARN_OUT = b"f,mag_db,phase_rad\n0,0,-0\n0.5,-300,-72.2566310326\n"
+
+
 @pytest.mark.parametrize("argv, data, code, out", [
     (["decimate", "-N", "1", "-R", "1"], b"1\n2\n", 0, b"1\n2\n"),
     (["decimate", "-N", "1", "-R", "1"], b"x\n", 2, b""),
     (["decimate", "-N", "1"], b"", 1, b""),
-], ids=["success", "data-error", "flag-error"])
+    (WARN_ARGV, b"", 0, WARN_OUT),
+], ids=["success", "data-error", "flag-error", "warning"])
 @pytest.mark.parametrize("stderr", ["closed", "full"])
 def test_unwritable_stderr_keeps_the_exit_code(argv, data, code, out, stderr):
     if stderr == "closed":
@@ -283,6 +293,21 @@ def test_unwritable_stderr_keeps_the_exit_code(argv, data, code, out, stderr):
         with open("/dev/full", "wb") as full:
             proc = run_child(argv, data, stderr=full)
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_warning_is_one_line_on_a_real_stderr():
+    proc = run_child(WARN_ARGV, b"", stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (0, WARN_OUT, WARN_LINE)
+
+
+def test_warning_line_leaves_the_callers_filters():
+    filters, err = list(warnings.filters), io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(WARN_ARGV) == 0
+    assert err.getvalue() == WARN_LINE
+    assert warnings.filters == filters
+    with pytest.raises(DifferentialDelayWarning):  # this suite's filter turns warnings into errors
+        CicConfig(2, 8, 3)
 
 
 @pytest.mark.parametrize("command, data, chunk, message", [

@@ -3,6 +3,7 @@ unbounded-integer reference path."""
 
 import dataclasses
 import random
+import re
 import time
 import warnings
 from pathlib import Path
@@ -388,7 +389,7 @@ def test_push_rejects_non_integer_samples(bad):
     state = DecimatorState(CicConfig(2, 4, 1, 8))
     state.push(3)
     before = engine_state(state)
-    with pytest.raises(InputRangeError, match="not an integer"):
+    with pytest.raises(InputRangeError, match=f"^sample must be an integer, got {re.escape(repr(bad))}$"):
         state.push(bad)
     assert engine_state(state) == before
 
@@ -396,7 +397,7 @@ def test_push_rejects_non_integer_samples(bad):
 @pytest.mark.parametrize("bad", NOT_SAMPLES, ids=repr)
 def test_block_rejects_non_integer_samples(bad):
     state = DecimatorState(CicConfig(2, 4, 1, 8))
-    with pytest.raises(InputRangeError, match="not an integer"):
+    with pytest.raises(InputRangeError, match=f"^sample must be an integer, got {re.escape(repr(bad))}$"):
         state.process_block([1, 2, bad, 4])
 
 
