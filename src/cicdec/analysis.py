@@ -39,7 +39,13 @@ def _shaped_like(arg, values: np.ndarray):
 
 def _floats(x, name: str) -> np.ndarray:
     """`x`, a number (the real rule) or an int or float array, flattened to float64."""
-    xa = np.asarray(x if isinstance(x, np.ndarray) or np.ndim(x) else _real(x, name, DomainError))
+    try:
+        xa = np.asarray(x)
+    except ValueError:  # a ragged sequence
+        raise DomainError(f"{name} must be a number or an array of numbers, "
+                          f"got a ragged sequence") from None
+    if xa.ndim == 0 and not isinstance(x, np.ndarray):
+        xa = np.asarray(_real(x, name, DomainError))
     if xa.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be a number, got an array of {xa.dtype}")
     return xa.astype(np.float64, copy=False).ravel()

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import CicConfig, DecimatorState, DifferentialDelayWarning, _integer, _integers
-from .core import required_width
+from .core import _sequence, required_width
 
 
 class ProtocolError(ValueError):
@@ -37,22 +37,28 @@ def _at_rate(config: CicConfig, rate: int) -> CicConfig:
         return replace(config, rate=rate)
 
 
-def _pin_values(values) -> np.ndarray:
+def _pin_values(values, name: str) -> np.ndarray:
     """An array as given; any other sequence as Python objects, exactly."""
-    return values if isinstance(values, np.ndarray) else np.array(list(values), dtype=object)
+    if isinstance(values, np.ndarray):
+        return values
+    return np.array(_sequence(values, name, ProtocolError), dtype=object)
 
 
-def _all_within(values: np.ndarray, lo: int, hi: int) -> bool:
-    """Whether every element passes the integer rule and lies in [lo, hi]."""
+def _within(values: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
+    """`values` if every element passes the integer rule and lies in [lo, hi],
+    else None; Python or numpy ints come back converted once, as int64 where
+    [lo, hi] fits it and as Python ints otherwise."""
     if values.dtype == object:
         try:
-            values = _integers(values.tolist(), "pin", ProtocolError)
+            ints = _integers(values.tolist(), "pin", ProtocolError)
         except ProtocolError:
-            return False  # the oracle raises the error of the cycle at fault
-        return not values or lo <= min(values) and max(values) <= hi
+            return None  # the oracle raises the error of the cycle at fault
+        if ints and not (lo <= min(ints) and max(ints) <= hi):
+            return None
+        return np.array(ints, dtype=np.int64 if -(1 << 63) <= lo and hi < 1 << 63 else object)
     if values.dtype.kind not in "iu":
-        return False
-    return not values.size or lo <= int(values.min()) and int(values.max()) <= hi
+        return None
+    return values if not values.size or lo <= int(values.min()) and int(values.max()) <= hi else None
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,9 @@ class ChipModel:
         """Advance one clock edge per element of the pin arrays.
 
         `nd` and `we` are boolean arrays; `din` and `ldin` are integer
-        arrays or sequences of Python or numpy ints, all of one length.
+        arrays or sequences of Python or numpy ints, all of one length, or
+        ProtocolError is raised.  A sequence's samples are converted once
+        and handed to the core as an int64 array (Python ints past 64 bits).
         Returns the `(rdy, dout, rfd)` arrays (`dout` is int64 while `width`
         fits it, Python ints above) and leaves the state that folding `tick`
         over the same cycles would, so a trace may be split over several
@@ -166,32 +174,38 @@ class ChipModel:
         changes; if one is invalid, the cycles are folded through
         `run_trace`, which raises its ProtocolError, cycle index and state.
         """
-        nd = np.asarray(nd, dtype=bool)
-        we = np.asarray(we, dtype=bool)
-        din, ldin = _pin_values(din), _pin_values(ldin)
+        try:
+            nd, we = np.asarray(nd, dtype=bool), np.asarray(we, dtype=bool)
+        except ValueError:  # a ragged sequence
+            raise ProtocolError("nd and we must be 1-D sequences of flags") from None
+        din, ldin = _pin_values(din, "din"), _pin_values(ldin, "ldin")
+        if any(p.ndim != 1 for p in (nd, din, we, ldin)):
+            shapes = [p.shape for p in (nd, din, we, ldin)]
+            raise ProtocolError(f"pins must be 1-D, got shapes {shapes}")
         n = len(nd)
         if not len(din) == len(we) == len(ldin) == n:
-            raise ValueError("pin arrays differ in length")
+            raise ProtocolError("pin arrays differ in length")
         accepted = nd & ~we
         loads_ok = not we.any() or (
-            self.programmable and _all_within(ldin[we], *self.rate_range)
+            self.programmable and _within(ldin[we], *self.rate_range) is not None
         )
         # every core of this chip takes the same B-bit input range
         in_range = (self.core._in_min, self.core._in_max)
-        if not (loads_ok and _all_within(din[accepted], *in_range)):
+        samples = _within(din[accepted], *in_range) if loads_ok else None
+        if samples is None:
             return self._run_ticks(nd, din, we, ldin)
 
-        # Each segment between loads is one block; an output is emitted on
-        # the nd cycle of its segment's R-th, 2R-th, ... accepted sample,
-        # counted from the core's phase.
+        # Each segment between loads is one block of the accepted samples; an
+        # output is emitted on the nd cycle of its segment's R-th, 2R-th, ...
+        # accepted sample, counted from the core's phase.
         taken = np.flatnonzero(accepted)
         emit_cycles, emitted = [], []
         start = 0
         for end in [*np.flatnonzero(we).tolist(), n]:
-            idx = taken[np.searchsorted(taken, start):np.searchsorted(taken, end)]
+            lo, hi = np.searchsorted(taken, start), np.searchsorted(taken, end)
             rate, phase = self.core.config.rate, self.core.phase
-            emit_cycles += idx[rate - 1 - phase :: rate].tolist()
-            emitted += self.core.process_block(din[idx])
+            emit_cycles += taken[lo:hi][rate - 1 - phase :: rate].tolist()
+            emitted += self.core.process_block(samples[lo:hi])
             if end < n:
                 self.core = DecimatorState(_at_rate(self.core.config, int(ldin[end])))
             start = end + 1

@@ -9,8 +9,9 @@ hold one ``cycle rdy dout rfd`` row per cycle, and response tables are CSV
 with an ``f,mag_db,phase_rad`` header; both are written `_ROWS_PER_WRITE`
 rows at a time as byte arrays.  A dump block formats each value `dout`
 holds once (`_format_pins`); response tables read exactly as ``'%.12g' %``
-prints each value (`_format_rows`), which is the oracle for the few values
-the arrays cannot vouch for.  Every command accepts ``-`` for stdin/stdout.
+prints each value, which is the oracle for the few values the arrays cannot
+vouch for, and a block's values share a field as narrow as that block's
+digits allow (`_format_rows`).  Every command accepts ``-`` for stdin/stdout.
 Exit codes: 0 ok, 1 usage or flag error (or out of memory), 2 file/parse/
 range error (undecodable text and a closed stdin or stdout included).
 """
@@ -320,12 +321,13 @@ def _digit_groups() -> np.ndarray:
 
 
 def _fixed_point(x: np.ndarray):
-    """Integer part, fraction digits and oracle mask of ``'%.12g' % x``.
+    """Integer part, fraction digits, their count and oracle mask of ``'%.12g' % x``.
 
-    Returns `whole` (below 1e12), `frac` (the fraction digits left-aligned
-    in 16, so below 1e16) and `oracle`, true where the value is to go to
-    ``'%.12g' %`` instead: not printed in fixed notation, ±0, or a 12-digit
-    mantissa that is not certain.
+    Returns `whole` (below 1e12), `frac` (the `k` fraction digits of the
+    12-digit mantissa, trailing zeros included, as an integer below 10**k),
+    `k` (0 to 15) and `oracle`, true where the value is to go to ``'%.12g' %``
+    instead: not printed in fixed notation (`k` is 0 there), ±0, or a
+    12-digit mantissa that is not certain.
     """
     # The mantissa m = rint(|x| * 10**k), k = 11 - e, from e = floor(log10|x|).
     # For e in [-4, 11] (fixed notation) 10**k is exact, so s is within 2**-13
@@ -337,15 +339,15 @@ def _fixed_point(x: np.ndarray):
         e = np.floor(np.log10(a))
     other = ~((e >= -4) & (e <= 11))
     np.copyto(a, 1.0, where=other)
-    np.copyto(e, 0.0, where=other)
+    np.copyto(e, 11.0, where=other)
     k = (11 - e).astype(np.intp)
     unit = _POW10[k]
     s = a * unit
     m = np.rint(s)
     oracle = other | (np.abs(s - m) >= 0.499) | (m <= 1e11) | (m >= 1e12)
     whole = np.floor(m / unit)  # exact: every operand is an integer below 2**53
-    frac = (m - whole * unit).astype(np.int64) * _INT_POW10[16 - k]
-    return whole.astype(np.int64), frac, oracle
+    frac = (m - whole * unit).astype(np.int64)
+    return whole.astype(np.int64), frac, k, oracle
 
 
 def _int_groups(x: np.ndarray, groups: int):
@@ -363,53 +365,63 @@ def _int_groups(x: np.ndarray, groups: int):
     yield rest + _LAST * (rest == x)
 
 
-def _frac_groups(frac: np.ndarray):
-    """`_digit_groups` indices of `frac` < 1e16 in four groups of 4 digits.
+def _frac_groups(frac: np.ndarray, groups: int):
+    """`_digit_groups` indices of int64 `frac` in [0, 10**(4*groups)), the digits
+    after the point, 4 digits each, high group first.
 
-    Trailing zeros are blank.
+    A group's trailing zeros are blank while every group below it is 0.
     """
-    f01 = frac // 10**8
-    f23 = frac - f01 * 10**8
-    f0, f2 = f01 // 10**4, f23 // 10**4
-    f1, f3 = f01 - f0 * 10**4, f23 - f2 * 10**4
-    return (f0 + _TRAIL * ((f1 | f23) == 0), f1 + _TRAIL * (f23 == 0),
-            f2 + _TRAIL * (f3 == 0), f3 + _TRAIL)
+    rest = frac
+    for k in range(4 * groups - 4, 0, -4):  # digits k + 3 to k of each value
+        g = rest // 10**k
+        rest = rest - g * 10**k
+        yield g + _TRAIL * (rest == 0)
+    yield rest + _TRAIL
 
 
 def _format_rows(table: np.ndarray) -> str:
     """One line of comma-separated ``'%.12g'`` fields per row of `table`.
 
     Byte for byte what ``%``-formatting the rows one value at a time gives.
-    Each value fills a 31-byte field: sign, 12 integer digits right-aligned,
-    point, 16 fraction digits left-aligned, separator, with NUL for every
-    blank; the NULs are deleted at the end.  The values `_fixed_point`
-    cannot vouch for are formatted by ``'%.12g' %`` itself and spliced in.
+    Each value fills a field sized to the block: sign, `gi` 4-digit groups
+    of integer digits right-aligned, point, `gf` 4-digit groups of fraction
+    digits left-aligned, separator, with NUL for every blank; the NULs are
+    deleted at the end.  `gi` (1 to 3) holds the block's largest integer
+    part and `gf` (1 to 4) its largest `_fixed_point` fraction-digit count,
+    so the field is 3 + 4*(gi + gf) bytes (19 on most rows of a response
+    table, against 31 for 3 and 4 groups).  The values `_fixed_point` cannot
+    vouch for are formatted by ``'%.12g' %`` itself and spliced in, the
+    field widened, with NUL padding, where their text needs more.
     """
     cols = table.shape[1]
     x = table.ravel()
     # (in helpers, so that each one's temporaries are freed before the next runs)
-    whole, frac, oracle = _fixed_point(x)
-    buf = np.zeros((x.size, 31), dtype=np.uint8)
+    whole, frac, k, oracle = _fixed_point(x)
+    where = np.flatnonzero(oracle)
+    text = np.array(("%.12g\n" * where.size % tuple(x[where].tolist())).split(), dtype=bytes)
+    gi = min(-(-len(str(int(whole.max()))) // 4), 3)  # (an oracle value's may need 4)
+    gf = max(-(-int(k.max()) // 4), 1)
+    point = 1 + 4 * gi
+    width = max(point + 4 * gf + 2, text.itemsize + 1)
+    frac *= _INT_POW10[4 * gf - k]  # left-aligned in 4*gf digits
+    buf = np.zeros((x.size, width), dtype=np.uint8)
     buf[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    buf[:, 13] = (frac != 0) * np.uint8(ord("."))
-    buf[:, 30] = ord(",")
-    buf[cols - 1::cols, 30] = ord("\n")
+    buf[:, point] = (frac != 0) * np.uint8(ord("."))
+    buf[:, -1] = ord(",")
+    buf[cols - 1::cols, -1] = ord("\n")
     lut = _digit_groups()
     # mode="clip" only skips a bounds-check copy: every index is in range
-    digits = buf[:, 1:13].view(np.uint32)
-    for i, index in enumerate(_int_groups(whole, 3)):
+    digits = buf[:, 1:point].view(np.uint32)
+    for i, index in enumerate(_int_groups(whole, gi)):
         np.take(lut, index, out=digits[:, i], mode="clip")
-    digits = buf[:, 14:30].view(np.uint32)
-    for i, index in enumerate(_frac_groups(frac)):
+    digits = buf[:, point + 1:point + 1 + 4 * gf].view(np.uint32)
+    for i, index in enumerate(_frac_groups(frac, gf)):
         np.take(lut, index, out=digits[:, i], mode="clip")
 
-    where = np.flatnonzero(oracle)
     if where.size:
-        text = "%.12g\n" * where.size % tuple(x[where].tolist())
-        fields = np.zeros((where.size, 30), dtype=np.uint8)
-        # the widest '%.12g' output is 19 bytes: -1.23456789012e-308
-        fields[:, :19] = np.array(text.split(), dtype="S19").view(np.uint8).reshape(-1, 19)
-        buf[where, :30] = fields
+        fields = np.zeros((where.size, width - 1), dtype=np.uint8)
+        fields[:, :text.itemsize] = text.view(np.uint8).reshape(where.size, -1)
+        buf[where, :-1] = fields
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 

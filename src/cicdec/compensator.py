@@ -49,12 +49,18 @@ class FirFilter:
     def response_at(self, g: float | np.ndarray) -> complex | np.ndarray:
         """Complex frequency response at output-rate frequency g.
 
-        A float gives a complex back; an array of g gives an array, computed
-        as one exp(-2*pi*i*g*k) @ taps product over the whole grid.
+        A float gives a complex back; an array of g gives an array.  The sum
+        of taps[k] * z**k at z = exp(-2*pi*i*g) is evaluated by Horner's
+        rule, one elementwise multiply-add per tap over the whole grid: no
+        grid-by-taps kernel and no BLAS call.
         """
         gs = _floats(g, "frequency")
-        kernel = np.exp(-2j * math.pi * np.multiply.outer(gs, np.arange(len(self.taps))))
-        return _shaped_like(g, kernel @ np.asarray(self.taps))
+        z = np.exp(-2j * math.pi * gs)
+        h = np.zeros_like(z)
+        for t in reversed(self.taps):
+            h *= z
+            h += t
+        return _shaped_like(g, h)
 
 
 def design_compensator(

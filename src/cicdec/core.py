@@ -44,6 +44,14 @@ def _integers(values: list, name: str, error: type[ValueError]) -> list[int]:
     return values if set(map(type, values)) <= {int} else [_integer(x, name, error) for x in values]
 
 
+def _sequence(values, name: str, error: type[ValueError]) -> list:
+    """`values` as a list; a value that is not iterable raises `error`."""
+    try:
+        return list(values)
+    except TypeError:
+        raise error(f"{name} must be a sequence, got {values!r}") from None
+
+
 def _real(value, name: str, error: type[ValueError]) -> float:
     """The real-number rule for every public argument: a Python or numpy integer
     or float, never bool, becomes a float (an int past the doubles an infinity,
@@ -183,8 +191,8 @@ class DecimatorState:
         """Consume every sample of `samples`; return the outputs emitted.
 
         `samples` is a sequence of Python or numpy integers, or a 1-D numpy
-        array of any integer dtype (int8 to int64, uint8 to uint64).  The
-        whole block is checked against the signed B-bit input range before
+        array of any integer dtype (int8 to int64, uint8 to uint64);
+        anything else raises InputRangeError.  The whole block is checked against the signed B-bit input range before
         any state changes, so a bad sample anywhere raises InputRangeError
         and leaves the state as it was.  The result is the same as pushing
         the samples one by one, computed on whole arrays: N running sums, a
@@ -224,7 +232,8 @@ class DecimatorState:
         elif isinstance(samples, np.ndarray) and samples.dtype.kind != "O":
             raise InputRangeError(f"samples of dtype {samples.dtype} are not integers")
         else:
-            values = _integers(list(samples), "sample", InputRangeError)  # so no np.uint64 wraps
+            values = _integers(_sequence(samples, "samples", InputRangeError), "sample",
+                               InputRangeError)  # so no np.uint64 wraps
             try:  # past int64 is out of range while B <= 64: the check below finds it
                 values = np.array(values, dtype=np.int64 if self.config.input_bits <= 64 else object)
             except OverflowError:
@@ -293,7 +302,7 @@ def reference_decimate(config: CicConfig, samples) -> list[int]:
     outputs at indices m*R + R - 1, i.e. one output after every R inputs.
     No wrapping anywhere; results are exact Python integers.
     """
-    samples = _integers(list(samples), "sample", InputRangeError)
+    samples = _integers(_sequence(samples, "samples", InputRangeError), "sample", InputRangeError)
     taps = boxcar_power(config.kernel_length, config.stages)
     r = config.rate
     out = []

@@ -69,6 +69,12 @@ CALLS = [
     ("SigmaDeltaModulator.stream.count", ValueError,
      lambda x: SigmaDeltaModulator().stream(0.5, x)),
     ("SigmaDeltaModulator.step", ValueError, lambda x: SigmaDeltaModulator().step(x)),
+    # sequence arguments, given as anything at all
+    ("process_block.samples", InputRangeError, lambda x: DecimatorState(CFG).process_block(x)),
+    ("reference_decimate.samples", InputRangeError, lambda x: reference_decimate(CFG, x)),
+    ("ChipModel.run.nd", ProtocolError, lambda x: ChipModel(CFG).run(x, [1], [False], [0])),
+    ("ChipModel.run.din", ProtocolError, lambda x: ChipModel(CFG).run([True], x, [False], [0])),
+    ("magnitude.ragged", DomainError, lambda x: magnitude(CFG, [0.1, [0.2, x]])),
 ]
 
 NUMPY_SCALARS = st.one_of(
@@ -184,10 +190,53 @@ def test_run_takes_numpy_integer_lists_without_the_oracle():
     cfg = CicConfig(2, 8, 1, 8)
     want = ChipModel(cfg, rate_range=(1, 16)).run(nd, din, we, ldin)
     chip = ChipModel(cfg, rate_range=(1, 16))
-    with mock.patch.object(ChipModel, "_run_ticks", side_effect=AssertionError):
+    blocks = []
+    process_block = DecimatorState.process_block
+    def spy(state, samples):
+        blocks.append(samples)
+        return process_block(state, samples)
+    with mock.patch.object(ChipModel, "_run_ticks", side_effect=AssertionError), \
+            mock.patch.object(DecimatorState, "process_block", spy):
         got = chip.run(nd, list(map(np.int64, din)), we, list(map(np.int32, ldin)))
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    # converted once, in `run`: the core gets the checked int64 samples
+    assert len(blocks) == 2 and all(b.dtype == np.int64 for b in blocks)
+    assert np.concatenate(blocks).tolist() == [x for x, a in zip(din, nd & ~we) if a]
+
+
+@pytest.mark.parametrize("value", [5, None, np.int64(5), 2.5], ids=repr)
+@pytest.mark.parametrize("name, fn", [
+    ("samples", lambda x: DecimatorState(CFG).process_block(x)),
+    ("samples", lambda x: reference_decimate(CFG, x)),
+    ("din", lambda x: ChipModel(CFG).run([True], x, [False], [0])),
+    ("ldin", lambda x: ChipModel(CFG).run([True], [1], [False], x)),
+], ids=["process_block", "reference_decimate", "run.din", "run.ldin"])
+def test_not_a_sequence_message(name, fn, value):
+    with pytest.raises(ValueError) as caught:
+        fn(value)
+    assert str(caught.value) == f"{name} must be a sequence, got {value!r}"
+
+
+@pytest.mark.parametrize("fn", [lambda x: magnitude(CFG, x), to_db, FIR.response_at],
+                         ids=["magnitude", "to_db", "response_at"])
+def test_ragged_sequence_message(fn):
+    with pytest.raises(DomainError, match=" must be a number or an array of numbers, "
+                                          "got a ragged sequence$"):
+        fn([0.1, [0.2, 0.3]])
+
+
+@pytest.mark.parametrize("pins", [
+    (True, [1], [False], [0]),
+    ([True], np.array(1), [False], [0]),
+    ([True, True], [1], [False], [0]),
+    ([True, [False]], [1, 2], [False, False], [0, 0]),
+], ids=["scalar-nd", "0-d-din", "lengths-differ", "ragged-nd"])
+def test_run_rejects_pins_of_other_shapes_before_any_cycle(pins):
+    chip = ChipModel(CFG)
+    with pytest.raises(ProtocolError):
+        chip.run(*pins)
+    assert chip.core.samples_in == 0 and chip._cycle == 0
 
 
 @pytest.mark.parametrize("din", [[1, 2.0, 3], [1, True, 3], [1, "2", 3]], ids=repr)

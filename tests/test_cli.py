@@ -580,6 +580,16 @@ POWERS_OF_TEN = [
 # the widest field (19 bytes), the dB floor, subnormal and extreme values
 @example(values=[-1.23456789012e-308, -300.0, 5e-324, -2.5e-320, 1.7976931348623157e308],
          cols=3)
+# a block's field has 1 to 3 integer groups and 1 to 4 fraction groups:
+# (gi, gf) = (1, 4), (1, 3), (2, 2), (2, 1), (3, 1), and (3, 1) at 12 integer digits
+@example(values=[0.000123456789012, -9999.5], cols=1)
+@example(values=[1.5, -0.25, 9.87654321012], cols=3)
+@example(values=[12345.6789, -1000.5], cols=2)
+@example(values=[12345678.9, -99999999.25], cols=1)
+@example(values=[123456789.5, 100000000.0], cols=2)
+@example(values=[999999999999.0, -123456789012.0, 100000000000.0], cols=1)
+# short fields (gi = 1, gf = 3: 19 bytes) widened for a 19-byte '%.12g' text
+@example(values=[1.5, -1.23456789012e-308], cols=1)
 def test_format_rows_matches_percent_formatting(values, cols):
     values = values * cols  # a whole number of rows
     table = np.array(values).reshape(-1, cols)

@@ -5,10 +5,11 @@ benchmark case throughout: its uncompensated droop is 1.82 dB.
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cicdec import (
     CicConfig,
@@ -128,6 +129,9 @@ def test_designs_are_symmetric_and_normalized(n, r, half, fp_out):
     st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=20),
     st.lists(st.floats(0.0, 0.5), min_size=1, max_size=12),
 )
+# a long filter: Horner's rule over 201 taps
+@example([2.0 * math.sin(0.7 * k * k) for k in range(201)],
+         [0.0, 1e-9, 0.123456789, 0.25, 0.4999999, 0.5])
 def test_response_at_array_matches_per_point_sum(taps, g):
     fir = FirFilter(taps)
     h = fir.response_at(np.array(g))
