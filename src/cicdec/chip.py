@@ -10,7 +10,9 @@ immediately, resets the filter core and deasserts `rfd` for that one cycle.
 `ChipModel.tick` advances one clock edge and `run_trace` folds it over a
 trace; they are the oracle.  `ChipModel.run` takes whole pin arrays and
 gives the same pins and state: between two rate loads the core is one plain
-CIC stream, so each such segment is one `process_block` call.
+CIC stream, so each such segment is one `process_block` call.  `run` checks
+every cycle first, with `tick`'s load rule and the core's block check, and
+hands a trace that fails them to the oracle.
 """
 
 from __future__ import annotations
@@ -44,23 +46,6 @@ def _pin_values(values, name: str) -> np.ndarray:
     return np.array(_sequence(values, name, ProtocolError), dtype=object)
 
 
-def _within(values: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
-    """`values` if every element passes the integer rule and lies in [lo, hi],
-    else None; Python or numpy ints come back converted once, as int64 where
-    [lo, hi] fits it and as Python ints otherwise."""
-    if values.dtype == object:
-        try:
-            ints = _integers(values.tolist(), "pin", ProtocolError)
-        except ProtocolError:
-            return None  # the oracle raises the error of the cycle at fault
-        if ints and not (lo <= min(ints) and max(ints) <= hi):
-            return None
-        return np.array(ints, dtype=np.int64 if -(1 << 63) <= lo and hi < 1 << 63 else object)
-    if values.dtype.kind not in "iu":
-        return None
-    return values if not values.size or lo <= int(values.min()) and int(values.max()) <= hi else None
-
-
 @dataclass(frozen=True)
 class PinInputs:
     """One cycle of input pins: data/new-data plus the rate-load pair."""
@@ -87,12 +72,11 @@ class ChipModel:
     visibility; it defaults to one register per stage plus an output
     register.  `latency` and `rate_range`'s two bounds are Python or numpy
     integers (not bool), kept as Python ints, or ProtocolError is raised.
-    Outputs in flight are held as (exit cycle, value) pairs, so
-    latency costs the model no memory (`cicdec chipsim` still writes
-    `latency` idle drain rows).  `width` is the register width the chip is
-    built with: sized for the largest allowed rate when the rate is
-    programmable.  The core runs at each loaded rate's own `required_width`,
-    which gives the same outputs.
+    Outputs in flight are held as (exit cycle, value) pairs, so latency has
+    no upper bound and costs the model no memory.  `width` is the register
+    width the chip is built with: sized for the largest allowed rate when
+    the rate is programmable.  The core runs at each loaded rate's own
+    `required_width`, which gives the same outputs.
     """
 
     def __init__(
@@ -105,8 +89,6 @@ class ChipModel:
                            ProtocolError)
         if latency < 1:
             raise ProtocolError(f"latency must be >= 1, got {latency}")
-        if latency > np.iinfo(np.intp).max:  # chipsim's drain: an array length
-            raise ProtocolError(f"latency must be <= {np.iinfo(np.intp).max}, got {latency}")
         self.latency = latency
         r_max = config.rate
         if rate_range is not None:
@@ -133,21 +115,24 @@ class ChipModel:
     def programmable(self) -> bool:
         return self.rate_range is not None
 
+    def _load(self, ldin) -> DecimatorState:
+        """The fresh core that a rate load of `ldin` gives, or ProtocolError."""
+        if not self.programmable:
+            raise ProtocolError("write-enable asserted on a fixed-rate chip")
+        rate = _integer(ldin, "rate load", ProtocolError)
+        r_min, r_max = self.rate_range
+        if not r_min <= rate <= r_max:
+            raise ProtocolError(f"rate load {rate} outside range [{r_min}, {r_max}]")
+        return DecimatorState(_at_rate(self.core.config, rate))
+
     def tick(self, pins: PinInputs) -> PinOutputs:
         """Advance one clock edge and return the resulting output pins."""
         emitted = None
         rfd = True
         if pins.we:
-            if not self.programmable:
-                raise ProtocolError("write-enable asserted on a fixed-rate chip")
-            r_min, r_max = self.rate_range
-            if not r_min <= pins.ldin <= r_max:
-                raise ProtocolError(
-                    f"rate load {pins.ldin} outside range [{r_min}, {r_max}]"
-                )
             # Load beats nd this cycle; the core flushes but in-flight
             # outputs keep draining through the delay queue.
-            self.core = DecimatorState(_at_rate(self.core.config, pins.ldin))
+            self.core = self._load(pins.ldin)
             rfd = False
         elif pins.nd:
             emitted = self.core.push(pins.din)
@@ -165,14 +150,13 @@ class ChipModel:
 
         `nd` and `we` are boolean arrays; `din` and `ldin` are integer
         arrays or sequences of Python or numpy ints, all of one length, or
-        ProtocolError is raised.  A sequence's samples are converted once
-        and handed to the core as an int64 array (Python ints past 64 bits).
-        Returns the `(rdy, dout, rfd)` arrays (`dout` is int64 while `width`
-        fits it, Python ints above) and leaves the state that folding `tick`
-        over the same cycles would, so a trace may be split over several
-        calls and interleaved with `tick`.  Each cycle is checked before any state
-        changes; if one is invalid, the cycles are folded through
-        `run_trace`, which raises its ProtocolError, cycle index and state.
+        ProtocolError is raised.  Returns the `(rdy, dout, rfd)` arrays
+        (`dout` is int64 while `width` fits it, Python ints above) and leaves
+        the state that folding `tick` over the same cycles would, so a trace
+        may be split over several calls and interleaved with `tick`.  Before
+        any state changes, each load meets `tick`'s load rule and the accepted
+        samples the core's block check, which converts a sequence once; if
+        one fails, `run_trace` folds the cycles with its error, index and state.
         """
         try:
             nd, we = np.asarray(nd, dtype=bool), np.asarray(we, dtype=bool)
@@ -186,13 +170,11 @@ class ChipModel:
         if not len(din) == len(we) == len(ldin) == n:
             raise ProtocolError("pin arrays differ in length")
         accepted = nd & ~we
-        loads_ok = not we.any() or (
-            self.programmable and _within(ldin[we], *self.rate_range) is not None
-        )
-        # every core of this chip takes the same B-bit input range
-        in_range = (self.core._in_min, self.core._in_max)
-        samples = _within(din[accepted], *in_range) if loads_ok else None
-        if samples is None:
+        try:  # `tick`'s load rule and the core's block check, before any state changes
+            cores = [self._load(rate) for rate in ldin[we]]
+            # one B-bit range for every core; with no sample taken, tick reads no din
+            samples = self.core._checked_block(din[accepted] if accepted.any() else [])
+        except ValueError:  # the oracle raises the error of the cycle at fault
             return self._run_ticks(nd, din, we, ldin)
 
         # Each segment between loads is one block of the accepted samples; an
@@ -200,14 +182,14 @@ class ChipModel:
         # accepted sample, counted from the core's phase.
         taken = np.flatnonzero(accepted)
         emit_cycles, emitted = [], []
-        start = 0
+        start, loaded = 0, iter(cores)
         for end in [*np.flatnonzero(we).tolist(), n]:
             lo, hi = np.searchsorted(taken, start), np.searchsorted(taken, end)
             rate, phase = self.core.config.rate, self.core.phase
             emit_cycles += taken[lo:hi][rate - 1 - phase :: rate].tolist()
             emitted += self.core.process_block(samples[lo:hi])
             if end < n:
-                self.core = DecimatorState(_at_rate(self.core.config, int(ldin[end])))
+                self.core = next(loaded)
             start = end + 1
 
         # An output emitted on cycle c exits on c + latency, in Python ints so

@@ -525,6 +525,8 @@ def _cmd_compensate(args) -> int:
 def _cmd_chipsim(args) -> int:
     config = _config_from(args)
     rate_range = (1, args.rmax) if args.rmax is not None else None
+    if args.latency is not None and args.latency > np.iinfo(np.intp).max:  # the drain's length
+        raise ConfigError(f"latency must be <= {np.iinfo(np.intp).max}, got {args.latency}")
     try:
         chip = ChipModel(config, latency=args.latency, rate_range=rate_range)
     except ProtocolError as exc:  # --latency or --rmax, not the trace

@@ -22,7 +22,7 @@ from .core import CicConfig, ConfigError, _integer, _real
 from .analysis import (
     DomainError,
     ResponseCurve,
-    _floats,
+    _frequencies,
     _shaped_like,
     magnitude,
     phase,
@@ -47,14 +47,15 @@ class FirFilter:
         return float(sum(self.taps))
 
     def response_at(self, g: float | np.ndarray) -> complex | np.ndarray:
-        """Complex frequency response at output-rate frequency g.
+        """Complex frequency response at output-rate frequency g in [0, 0.5].
 
-        A float gives a complex back; an array of g gives an array.  The sum
-        of taps[k] * z**k at z = exp(-2*pi*i*g) is evaluated by Horner's
-        rule, one elementwise multiply-add per tap over the whole grid: no
-        grid-by-taps kernel and no BLAS call.
+        A float gives a complex back; an array of g gives an array; a g
+        outside [0, 0.5], or NaN, raises DomainError.  The sum of taps[k] *
+        z**k at z = exp(-2*pi*i*g) is evaluated by Horner's rule, one
+        elementwise multiply-add per tap over the whole grid: no grid-by-taps
+        kernel and no BLAS call.
         """
-        gs = _floats(g, "frequency")
+        gs = _frequencies(g)
         z = np.exp(-2j * math.pi * gs)
         h = np.zeros_like(z)
         for t in reversed(self.taps):
@@ -81,6 +82,7 @@ def design_compensator(
     if tap_count < 1 or tap_count % 2 == 0:
         raise ConfigError(f"tap_count must be odd and >= 1, got {tap_count}")
     grid = uniform_grid(_check_fp_out(fp_out), grid_size)
+    grid_size = len(grid)  # a Python int: a numpy grid_size would wrap in the products below
     half = tap_count // 2
     if half + 1 > grid_size:
         raise DomainError(

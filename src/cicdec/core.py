@@ -199,7 +199,9 @@ class DecimatorState:
         1-of-R slice and N lag-M differences, exact mod 2**W, with each value
         that leaves the arrays wrapped to W bits.
         """
-        x = self._block_array(samples)
+        values = self._checked_block(samples)
+        wide = self.config.input_bits > 64  # past int64: split from Python ints
+        x = self._limbs(values.tolist() if wide else values.astype(np.int64))
         return list(chain(*[self._run(x[..., i:i + _SLICE]) for i in range(0, x.shape[-1], _SLICE)]))
 
     def _run(self, v: np.ndarray) -> list[int]:
@@ -223,8 +225,9 @@ class DecimatorState:
         # after the integrators, which the N combs cancel past the first N*M outputs.
         return self._ints(v, self.config.stages * m)
 
-    def _block_array(self, samples) -> np.ndarray:
-        """Check a whole block; return it as a new (K, n) int64 limb array."""
+    def _checked_block(self, samples) -> np.ndarray:
+        """Check a whole block, or raise InputRangeError; return it 1-D: an integer array
+        as given, any other sequence converted once (int64 while B <= 64, else Python ints)."""
         if isinstance(samples, np.ndarray) and samples.dtype.kind in "iu":
             if samples.ndim != 1:
                 raise InputRangeError(f"a block must be 1-D, got shape {samples.shape}")
@@ -243,8 +246,7 @@ class DecimatorState:
         if lo < self._in_min or hi > self._in_max:
             bad = (int(x) for x in values if not self._in_min <= int(x) <= self._in_max)
             raise self._range_error(next(bad))
-        wide = self.config.input_bits > 64  # past int64: split from Python ints
-        return self._limbs(values.tolist() if wide else values.astype(np.int64))
+        return values
 
     def _limbs(self, values: list[int] | np.ndarray) -> np.ndarray:
         """W-bit ints, Python or int64, as a (K, n) int64 limb array, low limb first."""

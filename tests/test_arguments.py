@@ -18,6 +18,7 @@ from cicdec import (
     DomainError,
     FirFilter,
     InputRangeError,
+    PinInputs,
     ProtocolError,
     SigmaDeltaModulator,
     alias_attenuation,
@@ -30,6 +31,7 @@ from cicdec import (
     phase,
     reference_decimate,
     response_curve,
+    run_trace,
     to_db,
 )
 
@@ -64,6 +66,10 @@ CALLS = [
     ("ChipModel.rate_range", ProtocolError, lambda x: ChipModel(CFG, rate_range=x)),
     ("ChipModel.rate_range[0]", ProtocolError, lambda x: ChipModel(CFG, rate_range=(x, 8))),
     ("ChipModel.rate_range[1]", ProtocolError, lambda x: ChipModel(CFG, rate_range=(1, x))),
+    ("ChipModel.tick.ldin", ProtocolError,
+     lambda x: ChipModel(CFG, rate_range=(1, 8)).tick(PinInputs(ldin=x, we=True))),
+    ("ChipModel.run.ldin", ProtocolError,
+     lambda x: ChipModel(CFG, rate_range=(1, 8)).run([False], [0], [True], [x])),
     ("SigmaDeltaModulator.stream.level", ValueError,
      lambda x: SigmaDeltaModulator().stream(x, 3)),
     ("SigmaDeltaModulator.stream.count", ValueError,
@@ -173,8 +179,15 @@ def test_numpy_integers_are_kept_as_python_ints():
     chip = ChipModel(cfg, latency=np.int64(4), rate_range=(np.uint16(1), np.int64(64)))
     assert type(chip.latency) is int and chip.rate_range == (1, 64)
     assert all(type(v) is int for v in chip.rate_range)
+    chip.tick(PinInputs(ldin=np.uint8(5), we=True))
+    assert type(chip.core.config.rate) is int and chip.core.config.rate == 5
+    chip.run([False], [0], [True], [np.int16(3)])
+    assert type(chip.core.config.rate) is int and chip.core.config.rate == 3
     assert response_curve(cfg, np.int64(5)).freqs.tolist() == [0.0, 0.125, 0.25, 0.375, 0.5]
     assert len(design_compensator(cfg, np.int64(15), np.float32(0.25), np.uint32(64))) == 15
+    # 32 x 8 design elements: past uint8, so counted in Python ints
+    assert design_compensator(CFG, 15, 0.25, grid_size=np.uint8(32)) == \
+        design_compensator(CFG, 15, 0.25, grid_size=32)
     assert SigmaDeltaModulator().stream(np.float32(0.5), np.int8(9)) == \
         SigmaDeltaModulator().stream(0.5, 9)
 
@@ -203,6 +216,22 @@ def test_run_takes_numpy_integer_lists_without_the_oracle():
     # converted once, in `run`: the core gets the checked int64 samples
     assert len(blocks) == 2 and all(b.dtype == np.int64 for b in blocks)
     assert np.concatenate(blocks).tolist() == [x for x, a in zip(din, nd & ~we) if a]
+
+
+@pytest.mark.parametrize("value", ["5", None, 5.0, True], ids=repr)
+def test_rate_load_of_another_type_message(value):
+    message = f"rate load must be an integer, got {value!r}"
+    with pytest.raises(ProtocolError) as caught:
+        ChipModel(CFG, rate_range=(1, 8)).tick(PinInputs(ldin=value, we=True))
+    assert str(caught.value) == message
+    pins = ([True, False], [1, 0], [False, True], [0, value])
+    trace = [PinInputs(din=d, nd=v, ldin=r, we=w) for v, d, w, r in zip(*pins)]
+    for fn in (lambda chip: chip.run(*pins), lambda chip: run_trace(chip, trace)):
+        chip = ChipModel(CFG, rate_range=(1, 8))
+        with pytest.raises(ProtocolError) as caught:
+            fn(chip)
+        assert str(caught.value) == f"cycle 1: {message}"
+        assert chip.core.samples_in == 1 and chip.core.config.rate == 4
 
 
 @pytest.mark.parametrize("value", [5, None, np.int64(5), 2.5], ids=repr)

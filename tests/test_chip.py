@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ def test_latency_queue_shifts_in_place():
     assert gated_douts(outs) == [3, 7]
 
 
-@pytest.mark.parametrize("latency", [10**12, 2**63 - 1])
+@pytest.mark.parametrize("latency", [10**12, 2**63 - 1, 2**64])
 def test_huge_latency_costs_no_memory(latency):
     cfg = CicConfig(2, 4, 1, 8)
     oracle, chip = ChipModel(cfg, latency=latency), ChipModel(cfg, latency=latency)
@@ -358,3 +359,62 @@ def test_run_matches_run_trace(scenario):
             assert type(got) is type(want) and str(got) == str(want)
             return
         assert got == want
+
+
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def typed_pin_run(draw):
+    """A fixed or programmable chip and pins of any type `run` may be given:
+    integer arrays of every dtype, float and bool arrays, and lists of Python
+    and numpy ints with strings mixed in; samples and loads in and out of range."""
+    bits = draw(st.sampled_from([8, 70]))
+    cfg, rate_range = CicConfig(2, 3, 1, bits), draw(st.sampled_from([None, (2, 6)]))
+    lo, hi = signed_range(bits)
+    n = draw(st.integers(0, 10))
+    nd = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    we = draw(st.lists(st.integers(0, 7).map(lambda k: k == 0), min_size=n, max_size=n))
+
+    def values(good, bad):  # most values good, so that a fair share of traces are valid
+        return draw(st.lists(st.one_of(*[good] * 4, bad), min_size=n, max_size=n))
+    kind = draw(st.sampled_from([*INTEGER_DTYPES, np.float64, np.bool_, list]))
+    if kind is list:
+        numpy_int = st.integers(max(lo, -(2**63)), min(hi, 2**63 - 1)).map(np.int64)
+        bad = st.sampled_from([lo - 1, hi + 1, -(2**64), 2**64, np.int16(-200), "1"])
+        din = values(st.integers(lo, hi) | numpy_int, bad)
+    elif kind in INTEGER_DTYPES:
+        info = np.iinfo(kind)
+        bad = st.sampled_from([x for x in (lo - 1, hi + 1, info.min, info.max)
+                               if info.min <= x <= info.max])
+        din = np.array(values(st.integers(max(lo, info.min), min(hi, info.max)), bad), dtype=kind)
+    else:
+        din = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=kind)
+    ldin = values(st.integers(2, 6) | st.integers(2, 6).map(np.int32),
+                  st.sampled_from([1, 7, "3", None, 3.0, True]))
+    return cfg, rate_range, (nd, din, we, ldin)
+
+
+@given(typed_pin_run())
+def test_run_goes_to_the_oracle_exactly_when_tick_raises(case):
+    """No valid trace goes to the oracle and no invalid one runs fast."""
+    cfg, rate_range, pins = case
+    nd, din, we, ldin = pins
+    try:
+        run_trace(ChipModel(cfg, rate_range=rate_range),
+                  [PinInputs(din=d, nd=v, ldin=r, we=w) for v, d, w, r in zip(*pins)])
+        oracle_raises = False
+    except ProtocolError:
+        oracle_raises = True
+    fallbacks = []
+    run_ticks = ChipModel._run_ticks
+
+    def spy(chip, *args):
+        fallbacks.append(args)
+        return run_ticks(chip, *args)
+    with mock.patch.object(ChipModel, "_run_ticks", spy):
+        try:
+            ChipModel(cfg, rate_range=rate_range).run(nd, din, we, ldin)
+        except ProtocolError:
+            assert oracle_raises
+    assert len(fallbacks) == oracle_raises

@@ -143,6 +143,14 @@ def test_response_at_array_matches_per_point_sum(taps, g):
         assert type(fir.response_at(gi)) is complex
 
 
+@pytest.mark.parametrize("g, bad", [(0.7, "0.7"), (-3.0, "-3.0"), (math.nan, "nan"),
+                                    ([0.1, 0.6], "0.6")], ids=repr)
+def test_response_at_rejects_frequencies_outside_the_band(g, bad):
+    with pytest.raises(DomainError) as caught:
+        FirFilter([0.5, 0.5]).response_at(g)
+    assert str(caught.value) == f"frequency {bad} outside [0, 0.5]"
+
+
 def test_deviation_is_the_worst_per_point_level():
     fir = design_compensator(BENCH, 15, 0.25)
     worst = max(
