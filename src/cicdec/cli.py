@@ -51,8 +51,10 @@ from .sdm import OUTPUT_BITS, SigmaDeltaModulator
 
 
 #: Characters `decimate` and `chipsim` read at a time, rounded up to the
-#: next line end, so the input is never held in memory whole.
-_CHUNK_CHARS = 1 << 20
+#: next line end, so the input is never held in memory whole.  At 2^16 a
+#: chunk's parse temporaries fit the cache and are reused from the heap; at
+#: 1 MiB they are given back to the kernel and faulted in again every chunk.
+_CHUNK_CHARS = 1 << 16
 
 #: Response-table, pin-dump and `sdm` rows (and `info` nulls) formatted per
 #: write, so the formatting buffers never hold the whole table.
@@ -147,11 +149,12 @@ def _read_samples(lines, bits: int, first_line: int = 1) -> list[int]:
 
 
 def _tokens(text: str, fields: int):
-    """The bytes, token starts and token ends of `_read_chunks` text, or None.
+    """The bytes, token starts, token ends and tokens' first bytes of
+    `_read_chunks` text, or None.
 
     Lines must be `fields` tokens split by single spaces and ended by a
     newline, tokens ASCII digits after an optional ``-`` or a lone ``-``.
-    The bytes are writable; the starts and ends are (lines, `fields`) arrays.
+    The bytes are writable; the rest are (lines, `fields`) arrays.
     """
     a = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8)
     ends = np.flatnonzero(a <= ord(" "))  # spaces, newlines and control bytes
@@ -164,7 +167,7 @@ def _tokens(text: str, fields: int):
     ok = (np.count_nonzero(a - ord("0") < 10) + n_signs + ends.size == a.size  # (wraps < "0")
           and first.min() > ord(" ") and np.count_nonzero(a == ord("\n")) == len(ends)
           and (a[ends[:, :-1]] == ord(" ")).all())  # so each line ends in its newline
-    return (a, starts, ends) if ok else None
+    return (a, starts, ends, first) if ok else None
 
 
 def _parse_chunk(text: str, bits: int) -> np.ndarray | None:
@@ -175,8 +178,8 @@ def _parse_chunk(text: str, bits: int) -> np.ndarray | None:
     """
     if (tokens := _tokens(text, 1)) is None:
         return None
-    a, starts, ends = tokens
-    digits = ends - starts - (a[starts] == ord("-"))
+    a, starts, ends, first = tokens
+    digits = ends - starts - (first == ord("-"))
     if digits.min() < 1 or digits.max() > 18:
         return None
     values = np.fromstring(a, dtype=np.int64, sep=" ")
@@ -281,8 +284,7 @@ def _parse_trace_chunk(text: str) -> np.ndarray | None:
     """
     if (tokens := _tokens(text, 4)) is None:
         return None
-    a, starts, ends = tokens
-    first = a[starts]
+    a, starts, ends, first = tokens
     digits = ends - starts
     digits -= first == ord("-")  # 0 for a lone `-`
     flags, values = first[:, ::2], digits[:, 1::2]

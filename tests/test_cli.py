@@ -206,20 +206,22 @@ def test_plain_sample_files_skip_the_line_parser(tmp_path, capsys, monkeypatch, 
 
 @pytest.mark.parametrize("command, comments", [
     ("decimate", []),
-    ("decimate", [0, 1000, 1000, 70_000]),
-    ("chipsim", [0, 500, 100_000]),
+    ("decimate", [0, 1000, 1000, "middle"]),
+    ("chipsim", [0, 500, "middle"]),
 ], ids=["decimate", "decimate-comments", "chipsim-comments"])
 def test_decimate_error_in_second_chunk_reports_absolute_line(tmp_path, capsys, monkeypatch,
                                                               command, comments):
-    # One chunk of the default size holds about _CHUNK_CHARS / len(row) lines.
-    # The first is parsed in one pass, with `#` lines (a header, or inserted
-    # before the rows at these indices), so the bad line's number comes from
-    # its rows and comments; only the second chunk reaches the line parser.
+    # The first chunk holds about _CHUNK_CHARS / len(row) lines.  It is
+    # parsed in one pass, with `#` lines (a header, or inserted before the
+    # rows at these indices, "middle" being half of them), so the bad line's
+    # number comes from its rows and comments; only the second chunk reaches
+    # the line parser.
     row = "0" if command == "decimate" else "1 0 0 -"
     rows = cli._CHUNK_CHARS // len(row + "\n") + 36
     lines = [row] * rows
-    for index in reversed(comments):
+    for index in reversed([rows // 2 if i == "middle" else i for i in comments]):
         lines.insert(index, "# comment" if index else "# head")
+    assert "".join(line + "\n" for line in lines).rfind("#") < cli._CHUNK_CHARS
     bad_line = len(lines) + 1
     infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
     infile.write_text("\n".join(lines + ["0x10"] + [row] * 5) + "\n")
@@ -1059,18 +1061,29 @@ def test_sdm_writes_what_the_modulator_streams(capsys, count):
     assert err == f"bits={count} mean={mean:.6f} output_bits=2\n"
 
 
+# Starts `sys.argv[1:]`, stderr to /dev/null, and reports its exit code and peak RSS.
+SPAWN = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)  # this child's rusage only
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
 def child_peak_rss_kb(argv, tmp_path):
-    """The peak RSS of `python -m cicdec.cli` alone, stdout to a file."""
+    """The peak RSS of `python -m cicdec.cli` alone, stdout to a file.
+
+    The child is started by a fresh interpreter, not by this one: a child's
+    peak RSS counts the peak of the process it was forked from, which here
+    would be the test run's, larger than any the command reaches."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     with open(tmp_path / "out.txt", "wb") as out:
-        proc = subprocess.Popen([sys.executable, "-m", "cicdec.cli", *argv], stdout=out,
-                                stderr=subprocess.DEVNULL, env=env)
-        _, status, usage = os.wait4(proc.pid, 0)  # this child's rusage only
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    return usage.ru_maxrss
+        spawner = subprocess.run([sys.executable, "-c", SPAWN, sys.executable, "-m", "cicdec.cli",
+                                  *argv], stdout=out, stderr=subprocess.PIPE, env=env, check=True)
+    code, peak = map(int, spawner.stderr.split())
+    assert code == 0
+    return peak
 
 
 def test_sdm_memory_does_not_grow_with_count(tmp_path):
@@ -1078,6 +1091,46 @@ def test_sdm_memory_does_not_grow_with_count(tmp_path):
     large = child_peak_rss_kb(["sdm", "--dc", "0.3", "--count", str(2 * 10**6)], tmp_path)
     assert (tmp_path / "out.txt").stat().st_size > 2 * 10**6
     assert large - small <= 10 * 1024
+
+
+def test_decimate_memory_does_not_grow_with_input(tmp_path):
+    # the input is read a chunk at a time, and 1 in 50 samples is held as output
+    peaks, infile = [], tmp_path / "in.txt"
+    for lines in (10**4, 2 * 10**6):
+        with open(infile, "w") as fh:
+            for _ in range(lines // 10**4):
+                fh.write("-128\n127\n5\n-17\n" * (10**4 // 4))
+        peaks.append(child_peak_rss_kb(["decimate", "-N", "2", "-R", "50", "-B", "8",
+                                        "--in", str(infile)], tmp_path))
+    assert (tmp_path / "out.txt").read_text().count("\n") == 2 * 10**6 // 50
+    assert peaks[1] - peaks[0] <= 10 * 1024
+
+
+@pytest.mark.parametrize("command", ["decimate", "chipsim"])
+@pytest.mark.parametrize("digits", [3, 18])
+@pytest.mark.parametrize("lead", ["", "# comment\n", "\n"], ids=["plain", "comments", "blanks"])
+def test_chunks_stay_within_chunk_chars(tmp_path, capsys, monkeypatch, command, digits, lead):
+    # every chunk is one read of _CHUNK_CHARS characters rounded up to a line
+    # end, also after a header of comments or blank lines that leaves only a
+    # few rows in the first chunk
+    rng = np.random.default_rng(3)
+    lo, hi, bits = (-128, 128, 8) if digits == 3 else (-10**18 + 1, 10**18, 61)
+    row = "{}\n" if command == "decimate" else "1 {} 0 -\n"
+    values = rng.integers(lo, hi, 5 * cli._CHUNK_CHARS // len(row.format(10**digits)))
+    text = lead * (cli._CHUNK_CHARS // max(1, len(lead)) - 2) + "".join(map(row.format, values.tolist()))
+    infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+    infile.write_text(text)
+    line_chunks, sizes = cli._line_chunks, []
+    def spy(fh):
+        for chunk in line_chunks(fh):
+            sizes.append(len(chunk))
+            yield chunk
+    monkeypatch.setattr(cli, "_line_chunks", spy)
+    code, _, _ = run_cli(capsys, command, "-N", "2", "-R", "50", "-B", str(bits),
+                         "--in", str(infile), "--out", str(outfile))
+    assert code == 0
+    assert sum(sizes) == len(text) and len(sizes) > len(text) // cli._CHUNK_CHARS >= 3
+    assert max(sizes) < cli._CHUNK_CHARS + len(row.format(-10**digits)), sizes
 
 
 def test_sdm_rejects_bad_level_and_count(capsys):
