@@ -154,7 +154,9 @@ def _tokens(text: str, fields: int):
 
     Lines must be `fields` tokens split by single spaces and ended by a
     newline, tokens ASCII digits after an optional ``-`` or a lone ``-``.
-    The bytes are writable; the rest are (lines, `fields`) arrays.
+    The bytes and first bytes are copies the caller may overwrite
+    (`_parse_trace_chunk` blanks tokens in them); the rest are (lines,
+    `fields`) arrays.
     """
     a = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8)
     ends = np.flatnonzero(a <= ord(" "))  # spaces, newlines and control bytes
@@ -280,7 +282,10 @@ def _parse_trace_chunk(text: str) -> np.ndarray | None:
 
     An (n, 4) array of `nd din we ldin` columns, `-` as 0.  Takes only
     `_tokens` lines of one-byte flags from ``0 1 -`` and values of 1 to 18
-    digits (signed on din only) or a lone `-` after a low flag.
+    digits (signed on din only) or a lone `-` after a low flag.  The flags
+    are read from their bytes, then blanked in `_tokens`' bytes with the
+    lone `-` tokens, so `np.fromstring` parses only the din and ldin values,
+    in the text's order, which is the rows' row-major order.
     """
     if (tokens := _tokens(text, 4)) is None:
         return None
@@ -292,9 +297,18 @@ def _parse_trace_chunk(text: str) -> np.ndarray | None:
             or values.max() > 18 or ((values == 0) & (flags == ord("1"))).any()
             or ((first[:, 3] == ord("-")) & (values[:, 1] > 0)).any()):
         return None
-    a[starts[digits == 0]] = ord("0")
-    del digits, values  # (freed before np.fromstring grows its buffer: less peak RSS)
-    return np.fromstring(a, dtype=np.int64, sep=" ").reshape(-1, 4)
+    del tokens, ends  # (each temporary freed once spent: a lower peak, fewer page faults)
+    rows = np.zeros(first.shape, dtype=np.int64)
+    rows[:, ::2] = flags == ord("1")
+    blank = digits == 0
+    blank[:, ::2] = True  # the flags and the lone `-` values
+    held = ~blank[:, 1::2]
+    np.putmask(first, blank, ord(" "))  # (then one write of every first byte: no gather)
+    a[starts] = first
+    del starts, digits, values, blank
+    if held.any():  # (over blanks alone np.fromstring gives [0], not [])
+        rows[:, 1::2][held] = np.fromstring(a, dtype=np.int64, sep=" ")
+    return rows
 
 
 def _trace_rows(lines, first_line: int, first_cycle: int) -> np.ndarray:

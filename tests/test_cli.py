@@ -973,6 +973,9 @@ def chipsim_oracle(infile, bits, rmax):
          rmax=["--rmax", "16"], bits=8, chunk=48)
 @example(lines=["1 9999999999999999999 0 -"] * 3, newline="\n", bad_bytes=b"", bad_at=0,
          rmax=[], bits=70, chunk=48)
+# a first chunk of idle cycles only, with no value for np.fromstring to parse
+@example(lines=["0 - 0 -", "- - - -", "1 5 0 -", "0 - 1 4", "1 -3 0 -"], newline="\n",
+         bad_bytes=b"", bad_at=0, rmax=["--rmax", "16"], bits=8, chunk=16)
 def test_chipsim_any_trace_exits_cleanly(tmp_path_factory, lines, newline, bad_bytes,
                                          bad_at, rmax, bits, chunk):
     data = newline.join(lines).encode() + newline.encode()
@@ -1028,11 +1031,44 @@ TRACE_CHUNK = st.one_of(
 @example(text="1 - 0 5\n")  # a lone `-` din with nd=1
 @example(text="- - - -\n0 -0 1 " + "9" * 18 + "\n")
 @example(text="1 5 0 -5\n")  # a signed ldin
+@example(text="0 - 0 -\n")  # no value token: np.fromstring would give [0]
+@example(text="- - - -\n0 - 0 -\n")
 def test_parse_trace_chunk_accepts_what_the_regex_accepts(text):
     rows = _parse_trace_chunk(text)
     assert (rows is not None) == (not _TRACE_LINE.sub("", text))
     if rows is not None:
         assert rows.tolist() == _trace_rows(text.split("\n"), 1, 0).tolist()
+
+
+def benchmark_trace(rng, cycles, digits, bits):
+    """A pin trace shaped like the `chipsim` benchmark's: `nd` high on ~80% of
+    cycles with a `din` of `digits` digits and either sign, `-` on the rest,
+    and one rate load in [1, 16] near the middle."""
+    nd = rng.random(cycles) < 0.8
+    magnitude = rng.integers(10 ** (digits - 1), min(10**digits, 2 ** (bits - 1)), cycles)
+    din = np.where(rng.random(cycles) < 0.5, -magnitude, magnitude)
+    load = cycles // 2 + int(rng.integers(-cycles // 10, cycles // 10))
+    rate = int(rng.integers(1, 17))
+    return "".join(f"{int(n)} {d if n else '-'} {int(c == load)} {rate if c == load else '-'}\n"
+                   for c, (n, d) in enumerate(zip(nd.tolist(), din.tolist())))
+
+
+@pytest.mark.parametrize("digits, bits", [(5, 16), (18, 61)])
+def test_trace_chunks_of_real_size_match_the_line_parser(tmp_path, capsys, digits, bits):
+    # unlike the fuzzes, which shrink _CHUNK_CHARS, every chunk here is a
+    # full-size one that the one-pass parser takes whole
+    text = benchmark_trace(np.random.default_rng(digits), 20_000, digits, bits)
+    infile, outfile = tmp_path / "trace.txt", tmp_path / "pins.txt"
+    infile.write_text(text)
+    with cli._open_text(str(infile), "r") as fh:
+        chunks = list(cli._read_chunks(fh, _parse_trace_chunk, _trace_rows))
+    assert len(chunks) > len(text) // cli._CHUNK_CHARS >= 2
+    assert all(chunk.dtype == np.int64 for chunk in chunks)  # no line-parser fallback
+    assert np.concatenate(chunks).tolist() == _trace_rows(text.split("\n"), 1, 0).tolist()
+    code, out, err = run_cli(capsys, "chipsim", "-N", "2", "-R", "3", "-B", str(bits),
+                             "--rmax", "16", "--in", str(infile), "--out", str(outfile))
+    assert out == ""
+    assert (code, err, outfile.read_text()) == chipsim_oracle(infile, bits, ["--rmax", "16"])
 
 
 # ---------------------------------------------------------------- sdm
