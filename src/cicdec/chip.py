@@ -11,8 +11,8 @@ immediately, resets the filter core and deasserts `rfd` for that one cycle.
 trace; they are the oracle.  `ChipModel.run` takes whole pin arrays and
 gives the same pins and state: between two rate loads the core is one plain
 CIC stream, so each such segment is one `process_block` call.  `run` checks
-every cycle first, with `tick`'s load rule and the core's block check, and
-hands a trace that fails them to the oracle.
+every cycle first, with `tick`'s load rule and the core's block check, runs
+the cycles before the first that fails them, and `tick` raises on that one.
 """
 
 from __future__ import annotations
@@ -115,15 +115,15 @@ class ChipModel:
     def programmable(self) -> bool:
         return self.rate_range is not None
 
-    def _load(self, ldin) -> DecimatorState:
-        """The fresh core that a rate load of `ldin` gives, or ProtocolError."""
+    def _rate(self, ldin) -> int:
+        """The rate that a load of `ldin` sets, or ProtocolError: the load rule."""
         if not self.programmable:
             raise ProtocolError("write-enable asserted on a fixed-rate chip")
         rate = _integer(ldin, "rate load", ProtocolError)
         r_min, r_max = self.rate_range
         if not r_min <= rate <= r_max:
             raise ProtocolError(f"rate load {rate} outside range [{r_min}, {r_max}]")
-        return DecimatorState(_at_rate(self.core.config, rate))
+        return rate
 
     def tick(self, pins: PinInputs) -> PinOutputs:
         """Advance one clock edge and return the resulting output pins."""
@@ -132,7 +132,7 @@ class ChipModel:
         if pins.we:
             # Load beats nd this cycle; the core flushes but in-flight
             # outputs keep draining through the delay queue.
-            self.core = self._load(pins.ldin)
+            self.core = DecimatorState(_at_rate(self.core.config, self._rate(pins.ldin)))
             rfd = False
         elif pins.nd:
             emitted = self.core.push(pins.din)
@@ -155,8 +155,8 @@ class ChipModel:
         the state that folding `tick` over the same cycles would, so a trace
         may be split over several calls and interleaved with `tick`.  Before
         any state changes, each load meets `tick`'s load rule and the accepted
-        samples the core's block check, which converts a sequence once; if
-        one fails, `run_trace` folds the cycles with its error, index and state.
+        samples the core's block check, which converts a sequence once; if one
+        fails, the earlier cycles run and `tick` raises on the first faulty one.
         """
         try:
             nd, we = np.asarray(nd, dtype=bool), np.asarray(we, dtype=bool)
@@ -170,26 +170,30 @@ class ChipModel:
         if not len(din) == len(we) == len(ldin) == n:
             raise ProtocolError("pin arrays differ in length")
         accepted = nd & ~we
-        try:  # `tick`'s load rule and the core's block check, before any state changes
-            cores = [self._load(rate) for rate in ldin[we]]
-            # one B-bit range for every core; with no sample taken, tick reads no din
-            samples = self.core._checked_block(din[accepted] if accepted.any() else [])
-        except ValueError:  # the oracle raises the error of the cycle at fault
-            return self._run_ticks(nd, din, we, ldin)
+        checked = self._checked(accepted, din, we, ldin)
+        if checked is None:  # a prefix fails iff a cycle in it does: loads keep B
+            k = bisect.bisect_left(range(n), True, key=lambda i: self._checked(
+                accepted[:i + 1], din[:i + 1], we[:i + 1], ldin[:i + 1]) is None)
+            self.run(nd[:k], din[:k], we[:k], ldin[:k])
+            try:  # pins as Python scalars, as a trace gives them: 2.0, not np.float64(2.0)
+                self.tick(PinInputs(din.item(k), nd.item(k), ldin.item(k), we.item(k)))
+            except ValueError as exc:  # tick checks before it changes any state
+                raise ProtocolError(f"cycle {k}: {exc}") from exc
+        rates, samples = checked
 
         # Each segment between loads is one block of the accepted samples; an
         # output is emitted on the nd cycle of its segment's R-th, 2R-th, ...
         # accepted sample, counted from the core's phase.
         taken = np.flatnonzero(accepted)
         emit_cycles, emitted = [], []
-        start, loaded = 0, iter(cores)
+        start, rates = 0, iter(rates)
         for end in [*np.flatnonzero(we).tolist(), n]:
             lo, hi = np.searchsorted(taken, start), np.searchsorted(taken, end)
             rate, phase = self.core.config.rate, self.core.phase
             emit_cycles += taken[lo:hi][rate - 1 - phase :: rate].tolist()
             emitted += self.core.process_block(samples[lo:hi])
             if end < n:
-                self.core = next(loaded)
+                self.core = DecimatorState(_at_rate(self.core.config, next(rates)))
             start = end + 1
 
         # An output emitted on cycle c exits on c + latency, in Python ints so
@@ -202,25 +206,20 @@ class ChipModel:
         done = bisect.bisect_left(exits, n)
         rdy = np.zeros(n, dtype=bool)
         rdy[exits[:done]] = True
-        dout = np.array(values[:done + 1], dtype=self._dout_dtype)[np.cumsum(rdy)]
+        dout = np.array(values[:done + 1], np.int64 if self.width <= 64 else object)[np.cumsum(rdy)]
         self._dout = values[done]
         self._pending = deque(zip([base + e for e in exits[done:]], values[done + 1:]))
         self._cycle = base + n
         return rdy, dout, ~we
 
-    @property
-    def _dout_dtype(self):
-        return np.int64 if self.width <= 64 else object
-
-    def _run_ticks(self, nd, din, we, ldin):
-        """`run` by folding `tick` over the cycles: the oracle's errors and state."""
-        trace = map(PinInputs, din.tolist(), nd.tolist(), ldin.tolist(), we.tolist())
-        outputs = run_trace(self, trace)
-        return (
-            np.array([o.rdy for o in outputs], dtype=bool),
-            np.array([o.dout for o in outputs], dtype=self._dout_dtype),
-            np.array([o.rfd for o in outputs], dtype=bool),
-        )
+    def _checked(self, accepted, din, we, ldin):
+        """`tick`'s load rule and the core's block check: (rates, samples), or None."""
+        try:
+            rates = [self._rate(rate) for rate in ldin[we]]
+            # one B-bit range at every rate; with no sample taken, tick reads no din
+            return rates, self.core._checked_block(din[accepted] if accepted.any() else [])
+        except ValueError:
+            return None
 
 
 def run_trace(chip: ChipModel, trace) -> list[PinOutputs]:

@@ -190,14 +190,13 @@ class DecimatorState:
     def process_block(self, samples) -> list[int]:
         """Consume every sample of `samples`; return the outputs emitted.
 
-        `samples` is a sequence of Python or numpy integers, or a 1-D numpy
-        array of any integer dtype (int8 to int64, uint8 to uint64);
-        anything else raises InputRangeError.  The whole block is checked against the signed B-bit input range before
-        any state changes, so a bad sample anywhere raises InputRangeError
-        and leaves the state as it was.  The result is the same as pushing
-        the samples one by one, computed on whole arrays: N running sums, a
-        1-of-R slice and N lag-M differences, exact mod 2**W, with each value
-        that leaves the arrays wrapped to W bits.
+        `samples` is a sequence of Python or numpy integers, or a 1-D numpy array of
+        any integer dtype (int8 to int64, uint8 to uint64); anything else raises
+        InputRangeError.  The whole block is checked against the signed B-bit input
+        range before any state changes, so a bad sample anywhere raises InputRangeError
+        and leaves the state as it was.  The result is the same as pushing the samples
+        one by one, computed on whole arrays: N running sums, a 1-of-R slice and N
+        lag-M differences, exact mod 2**W, each value leaving the arrays wrapped to W bits.
         """
         values = self._checked_block(samples)
         wide = self.config.input_bits > 64  # past int64: split from Python ints
@@ -244,7 +243,7 @@ class DecimatorState:
         # min/max compared as Python ints: exact for every dtype (uint64 2**64-1 is not -1)
         lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
         if lo < self._in_min or hi > self._in_max:
-            bad = (int(x) for x in values if not self._in_min <= int(x) <= self._in_max)
+            bad = (x for x in values.tolist() if not self._in_min <= x <= self._in_max)
             raise self._range_error(next(bad))
         return values
 

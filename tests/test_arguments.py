@@ -208,7 +208,7 @@ def test_run_takes_numpy_integer_lists_without_the_oracle():
     def spy(state, samples):
         blocks.append(samples)
         return process_block(state, samples)
-    with mock.patch.object(ChipModel, "_run_ticks", side_effect=AssertionError), \
+    with mock.patch.object(ChipModel, "tick", side_effect=AssertionError), \
             mock.patch.object(DecimatorState, "process_block", spy):
         got = chip.run(nd, list(map(np.int64, din)), we, list(map(np.int32, ldin)))
     for a, b in zip(got, want):

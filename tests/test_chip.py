@@ -313,7 +313,7 @@ def pin_run_scenario(draw):
 
 def chip_state(chip):
     core = chip.core
-    return (core.config, core.samples_in, core.phase, pending(chip), chip._dout)
+    return (core.config, core.samples_in, core.phase, pending(chip), chip._cycle, chip._dout)
 
 
 @given(pin_run_scenario())
@@ -397,24 +397,52 @@ def typed_pin_run(draw):
 
 @given(typed_pin_run())
 def test_run_goes_to_the_oracle_exactly_when_tick_raises(case):
-    """No valid trace goes to the oracle and no invalid one runs fast."""
+    """No valid trace reaches `tick`, and an invalid one reaches it once, on the
+    cycle at fault: `run` raises `run_trace`'s error and leaves its state."""
     cfg, rate_range, pins = case
     nd, din, we, ldin = pins
+    oracle, chip = ChipModel(cfg, rate_range=rate_range), ChipModel(cfg, rate_range=rate_range)
+    want = got = None
+    values = din.tolist() if isinstance(din, np.ndarray) else din  # as Python scalars
     try:
-        run_trace(ChipModel(cfg, rate_range=rate_range),
-                  [PinInputs(din=d, nd=v, ldin=r, we=w) for v, d, w, r in zip(*pins)])
-        oracle_raises = False
-    except ProtocolError:
-        oracle_raises = True
-    fallbacks = []
-    run_ticks = ChipModel._run_ticks
-
-    def spy(chip, *args):
-        fallbacks.append(args)
-        return run_ticks(chip, *args)
-    with mock.patch.object(ChipModel, "_run_ticks", spy):
+        run_trace(oracle, [PinInputs(din=d, nd=v, ldin=r, we=w)
+                           for v, d, w, r in zip(nd, values, we, ldin)])
+    except ProtocolError as exc:
+        want = str(exc)
+    with mock.patch.object(ChipModel, "tick", autospec=True, side_effect=ChipModel.tick) as tick:
         try:
-            ChipModel(cfg, rate_range=rate_range).run(nd, din, we, ldin)
-        except ProtocolError:
-            assert oracle_raises
-    assert len(fallbacks) == oracle_raises
+            chip.run(nd, din, we, ldin)
+        except ProtocolError as exc:
+            got = str(exc)
+    assert got == want and tick.call_count == (want is not None)
+    assert chip_state(chip) == chip_state(oracle)
+
+
+@pytest.mark.parametrize("fault", ["din", "ldin"])
+@pytest.mark.parametrize("bits, as_pins", [(16, np.array), (70, list)],
+                         ids=["int64-B16", "int-B70"])
+def test_a_late_fault_costs_one_tick(bits, as_pins, fault):
+    """A 20k-cycle trace with one fault near its end, among good loads: the cycles
+    before it run on the array path, and `tick` runs once, on the faulty cycle."""
+    rnd, n, c = random.Random(bits), 20_000, 19_990
+    lo, hi = signed_range(bits)
+    cfg, rate_range = CicConfig(3, 8, 1, bits), (2, 64)
+    nd = [rnd.random() < 0.8 for _ in range(n)]
+    din = [rnd.randint(lo, hi) for _ in range(n)]
+    we, ldin = [False] * n, [rnd.randint(2, 64) for _ in range(n)]
+    for load in (5000, 12000, 19995):
+        we[load] = True
+    if fault == "din":
+        nd[c], we[c], din[c] = True, False, hi + 1
+    else:
+        we[c], ldin[c] = True, 65
+    oracle, chip = ChipModel(cfg, rate_range=rate_range), ChipModel(cfg, rate_range=rate_range)
+    with pytest.raises(ProtocolError) as want:
+        run_trace(oracle, [PinInputs(din=d, nd=v, ldin=r, we=w)
+                           for v, d, w, r in zip(nd, din, we, ldin)])
+    with mock.patch.object(ChipModel, "tick", autospec=True, side_effect=ChipModel.tick) as tick, \
+            pytest.raises(ProtocolError) as got:
+        chip.run(nd, as_pins(din), we, as_pins(ldin))
+    assert str(got.value) == str(want.value) and str(got.value).startswith(f"cycle {c}: ")
+    assert chip_state(chip) == chip_state(oracle)
+    assert tick.call_count == 1
