@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
-
-_SLICE = 1 << 30  # samples per engine pass: 32-bit limb sums are exact below 2**31
 
 
 class ConfigError(ValueError):
@@ -137,11 +135,11 @@ class DecimatorState:
         self.width = width = required_width(config)
         self._in_min, self._in_max = _signed_range(config.input_bits)
         # One W-bit wrap rule, ((v + half) & mask) - half, in `push` and `_ints`.
-        # Blocks run unwrapped on K int64 limbs, exact mod 2**W: a 1-D array
-        # while W <= 64, else (K, n) with K = ceil(W/32).
+        # Blocks run unwrapped on K = ceil(W/64) limbs of 64 bits, exact mod 2**W:
+        # a (K, n) array, int64 while W <= 64 (K = 1), else uint64.
         self._half = 1 << (width - 1)
         self._mask = (1 << width) - 1
-        self._k = 1 if width <= 64 else -(-width // 32)
+        self._k = -(-width // 64)
         self.reset()
 
     def reset(self) -> None:
@@ -199,27 +197,39 @@ class DecimatorState:
         lag-M differences, exact mod 2**W, each value leaving the arrays wrapped to W bits.
         """
         values = self._checked_block(samples)
-        wide = self.config.input_bits > 64  # past int64: split from Python ints
-        x = self._limbs(values.tolist() if wide else values.astype(np.int64))
-        return list(chain(*[self._run(x[..., i:i + _SLICE]) for i in range(0, x.shape[-1], _SLICE)]))
-
-    def _run(self, v: np.ndarray) -> list[int]:
-        """`process_block` on a checked (K, n) limb array, n < 2**31, in place."""
-        n, acc = v.shape[-1], self._limbs(self._integrators)
-        for i in range(acc.shape[-1]):
-            v[..., 0] += acc[..., i]
-            v.cumsum(axis=-1, out=v)
-            acc[..., i] = self._carry(v)[..., -1]
+        n, k = len(values), self._k
+        v = np.empty((k, n + 1), np.int64 if k == 1 else np.uint64)  # column 0: a stage's register
+        if self.config.input_bits > 64:  # past int64: split from Python ints
+            v[:, 1:] = self._limbs(values.tolist())
+        else:
+            v[0, 1:] = values
+            if k > 1:  # the limbs above the low one hold its sign
+                v[1:, 1:] = v[0, 1:].view(np.int64) >> 63
+        acc = self._limbs(self._integrators)
+        for i in range(acc.shape[1]):
+            v[:, 0], carry = acc[:, i], None
+            for j, row in enumerate(v):
+                if carry is not None:  # an addend below 2**64, or 2**64 that wraps to 0
+                    row[1:] += carry
+                row.cumsum(out=row)
+                if j + 1 < k:  # it carries where its sum fell, or held on a wrapped addend
+                    s, t = row[1:], row[:-1]
+                    carry = s < t if carry is None else (s < t) | ((s == t) & carry)
+            acc[:, i] = v[:, -1]
         self._integrators[:] = self._ints(acc)
         r, m = self.config.rate, self.config.diff_delay
-        v = v[..., r - 1 - self.phase :: r]
+        v = v[:, r - self.phase :: r]
         self.phase = (self.phase + n) % r
-        for line in self._combs if v.shape[-1] else ():  # no outputs, no comb work
-            ext = np.concatenate((self._limbs(line), v), axis=-1)
-            line[:] = self._ints(ext[..., -m:])
-            v = self._carry(ext[..., m:] - ext[..., :-m])
+        for line in self._combs if v.shape[1] else ():  # no outputs, no comb work
+            ext = np.concatenate((self._limbs(line), v), axis=1)
+            line[:] = self._ints(ext[:, -m:])
+            v, borrow = ext[:, m:] - ext[:, :-m], None
+            for j in range(1, k):  # a limb borrows where a < b, or a == b and it was borrowed from
+                a, b = ext[j - 1, m:], ext[j - 1, :-m]
+                borrow = a < b if borrow is None else (a < b) | ((a == b) & borrow)
+                v[j] -= borrow
         self.samples_in += n
-        self.samples_out += v.shape[-1]
+        self.samples_out += v.shape[1]
         # The carried state is off by multiples of 2**W: a polynomial of degree < N
         # after the integrators, which the N combs cancel past the first N*M outputs.
         return self._ints(v, self.config.stages * m)
@@ -247,35 +257,25 @@ class DecimatorState:
             raise self._range_error(next(bad))
         return values
 
-    def _limbs(self, values: list[int] | np.ndarray) -> np.ndarray:
-        """W-bit ints, Python or int64, as a (K, n) int64 limb array, low limb first."""
+    def _limbs(self, values: list[int]) -> np.ndarray:
+        """W-bit Python ints as a (K, n) limb array, low limb first: int64 at K = 1, else
+        uint64, each int split from its bytes."""
         if self._k == 1:
-            return np.asarray(values, dtype=np.int64)
-        if isinstance(values, np.ndarray):  # a signed high word: the limbs add up to x
-            return np.stack((values & 0xFFFFFFFF, values >> 32, *[0 * values] * (self._k - 2)))
-        data = b"".join(v.to_bytes(4 * self._k, "little", signed=True) for v in values)
-        return np.frombuffer(data, "<u4").reshape(-1, self._k).T.astype(np.int64, order="C")
+            return np.array([values], dtype=np.int64)
+        data = b"".join(v.to_bytes(8 * self._k, "little", signed=True) for v in values)
+        return np.frombuffer(data, "<u8").reshape(-1, self._k).T.copy()
 
     def _ints(self, v: np.ndarray, head: int | None = None) -> list[int]:
-        """The signed ints a (K, n) limb array holds, each column read as one 32K-bit
+        """The signed ints a (K, n) limb array holds, each column read as one 64K-bit
         word (the int64 at K = 1); the first `head` (default all) wrapped to W bits."""
         if self._k == 1:
-            values = v.tolist()
+            values = v[0].tolist()
         else:
-            rows = np.ascontiguousarray(v.T, dtype="<u4").view(f"V{4 * self._k}").ravel()
+            rows = np.ascontiguousarray(v.T, dtype="<u8").view(f"V{8 * self._k}").ravel()
             values = [int.from_bytes(row, "little", signed=True) for row in rows.tolist()]
         half, mask = self._half, self._mask
         values[:head] = [((x + half) & mask) - half for x in values[:head]]
         return values
-
-    def _carry(self, v: np.ndarray) -> np.ndarray:
-        """Move each limb's carry (a borrow too: the shift is arithmetic) into the
-        next, so that the limbs below the top are in [0, 2**32) and their running
-        sums stay exact; return `v`.  The top limb wraps only mod 2**64, by itself."""
-        for k in range(self._k - 1):
-            v[k + 1] += v[k] >> 32
-            v[k] &= 0xFFFFFFFF
-        return v
 
 
 def boxcar_power(length: int, order: int) -> list[int]:

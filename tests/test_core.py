@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import cicdec.core
 from cicdec import (
     ChipModel,
     CicConfig,
@@ -441,7 +440,7 @@ def test_block_and_push_share_state_at_width_override():
 
 # Configs whose register width lands on or just past the int64 limit
 # (N=3, R=8, M=1: W = B + 9, so B = 53..57 gives W = 62..66) or far above
-# it, up to W = 134 (five 32-bit limbs), with inputs past int64 (B = 70, 100
+# it, up to W = 134 (three 64-bit limbs), with inputs past int64 (B = 70, 100
 # and 125); small D keeps the reference convolution fast.
 WIDE_CONFIGS = [(3, 8, 1, b) for b in range(53, 58)] + [
     (3, 8, 2, 53), (3, 8, 1, 100), (2, 3, 1, 100), (3, 8, 1, 125), (2, 8, 1, 70)]
@@ -492,13 +491,13 @@ def test_push_and_block_interleavings_match_reference(case):
 
 @given(interleaved_feed(), st.integers(1, 7))
 def test_internal_passes_are_split_invariant(case, size):
-    """A block longer than `_SLICE` runs in passes; the state carries across
-    them and ends as the W-bit registers that pushing each sample leaves."""
+    """Blocks of `size` samples each; the state carries across them and ends
+    as the W-bit registers that pushing each sample leaves."""
     cfg, samples, _ = case
     state, pushed = DecimatorState(cfg), DecimatorState(cfg)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cicdec.core, "_SLICE", size)
-        outs = state.process_block(samples)
+    outs = []
+    for i in range(0, len(samples), size):
+        outs += state.process_block(samples[i:i + size])
     assert outs == reference_decimate(cfg, samples)
     assert (state.phase, state.samples_in, state.samples_out) == (
         len(samples) % cfg.rate, len(samples), len(samples) // cfg.rate)
@@ -506,25 +505,30 @@ def test_internal_passes_are_split_invariant(case, size):
     assert engine_state(state) == engine_state(pushed)
 
 
-# W = 65, 96 and 97: one bit past a limb boundary, a full top limb and one bit
-# into a fresh limb.  N=3, R=8 (9 bits of growth) has inputs past int64 at 96
-# and 97; N=5, R=256 (40 bits) has int64 inputs at all three.  W = 46 and 62
-# are one limb whose int64 sums pass 2**63, so that the carried W-bit state
-# and the first outputs of each piece need the W-bit wrap as they leave.
-CARRY_CONFIGS = [(3, 8, 1, 56), (3, 8, 1, 87), (3, 8, 1, 88),
-                 (5, 256, 1, 25), (5, 256, 1, 56), (5, 256, 1, 57),
+# W = 64, 65, 127, 128 and 129: a full single limb, one bit past it, a top
+# limb one bit short of full, a full top limb and one bit into a third limb.
+# N=3, R=8 (9 bits of growth) runs every edge; its inputs are past int64 from
+# 127 on.  N=5, R=256 (40 bits) has int64 inputs at 64 and 65, and W = 96 and
+# 97 sit inside the top limb.  W = 46 and 62 are one limb whose int64 sums pass
+# 2**63, so that the carried W-bit state and the first outputs of each piece
+# need the W-bit wrap as they leave.
+CARRY_CONFIGS = [(3, 8, 1, 55), (3, 8, 1, 56), (3, 8, 1, 87), (3, 8, 1, 88),
+                 (3, 8, 1, 118), (3, 8, 1, 119), (3, 8, 1, 120),
+                 (5, 256, 1, 24), (5, 256, 1, 25), (5, 256, 1, 56), (5, 256, 1, 57),
                  (5, 64, 1, 16), (3, 8, 1, 53)]
 
 
 @pytest.mark.parametrize("n, r, m, b", CARRY_CONFIGS)
 def test_carries_and_borrows_at_limb_edges(n, r, m, b):
-    """Runs of full-scale samples carry through every limb, and the swing
-    between the extremes borrows through them, at and around 32-bit edges."""
+    """Runs of -1 and of full-scale samples carry through every limb, and the
+    swing between the extremes borrows through them, at and around 64-bit
+    edges.  From three limbs (W = 129) on, a -1's middle limb is 2**64 - 1, so
+    with the low limb's carry its addend is 2**64, whose carry goes on up."""
     cfg = CicConfig(n, r, m, b)
-    assert required_width(cfg) in (46, 62, 65, 96, 97)
+    assert required_width(cfg) in (46, 62, 64, 65, 96, 97, 127, 128, 129)
     lo, hi = signed_range(b)
     run = n * cfg.kernel_length + r
-    samples = [lo] * run + [hi] * run + [lo, hi] * run + [hi] * run + [lo] * run
+    samples = [-1] * run + [lo] * run + [hi] * run + [lo, hi] * run + [hi] * run + [lo] * run
     expected = reference_decimate(cfg, samples)
     assert min(expected) == lo * gain(cfg) and max(expected) == hi * gain(cfg)
     whole, pushed = DecimatorState(cfg), DecimatorState(cfg)
