@@ -229,9 +229,8 @@ def _read_chunks(fh, parse_chunk, parse_lines):
                 end = len(text)
             kept, comments = _COMMENT_LINE.subn("", "\n" + text[start:end])
             body = text[:start - 1] + kept + text[end:] if start else (kept + text[end:])[1:]
-        unended = not text.endswith("\n")  # (only the last chunk, at most)
         if not body:
-            line_no += comments - unended
+            line_no += comments
             continue
         if not body.endswith("\n"):
             body += "\n"
@@ -240,7 +239,7 @@ def _read_chunks(fh, parse_chunk, parse_lines):
             values = parse_lines(text.split("\n"), line_no, rows)
             line_no += text.count("\n")
         else:
-            line_no += len(values) + comments - unended
+            line_no += len(values) + comments
         rows += len(values)
         yield values
 
@@ -555,7 +554,6 @@ def _cmd_chipsim(args) -> int:
         # drain the pipeline so every in-flight output reaches dout
         chunks.append(np.zeros((chip.latency, 4), dtype=np.int64))
     nd, din, we, ldin = np.concatenate(chunks).T
-    nd, we = nd.astype(bool), we.astype(bool)
     rdy, dout, rfd = chip.run(nd, din, we, ldin)
     with _open_text(args.outfile, "w") as fh:
         for start in range(0, len(rdy), _ROWS_PER_WRITE):

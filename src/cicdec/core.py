@@ -199,12 +199,12 @@ class DecimatorState:
         values = self._checked_block(samples)
         n, k = len(values), self._k
         v = np.empty((k, n + 1), np.int64 if k == 1 else np.uint64)  # column 0: a stage's register
-        if self.config.input_bits > 64:  # past int64: split from Python ints
+        if values.dtype.kind == "O":  # past int64 (so K > 1): split from Python ints
             v[:, 1:] = self._limbs(values.tolist())
         else:
             v[0, 1:] = values
-            if k > 1:  # the limbs above the low one hold its sign
-                v[1:, 1:] = v[0, 1:].view(np.int64) >> 63
+            if k > 1:  # the limbs above the low one: its sign for a signed dtype, else 0
+                v[1:, 1:] = v[0, 1:].view(np.int64) >> 63 if values.dtype.kind == "i" else 0
         acc = self._limbs(self._integrators)
         for i in range(acc.shape[1]):
             v[:, 0], carry = acc[:, i], None
@@ -235,8 +235,8 @@ class DecimatorState:
         return self._ints(v, self.config.stages * m)
 
     def _checked_block(self, samples) -> np.ndarray:
-        """Check a whole block, or raise InputRangeError; return it 1-D: an integer array
-        as given, any other sequence converted once (int64 while B <= 64, else Python ints)."""
+        """Check a whole block, or raise InputRangeError; return it 1-D: an integer array as
+        given, any other sequence converted once (int64 where its values fit, else Python ints)."""
         if isinstance(samples, np.ndarray) and samples.dtype.kind in "iu":
             if samples.ndim != 1:
                 raise InputRangeError(f"a block must be 1-D, got shape {samples.shape}")
@@ -246,8 +246,8 @@ class DecimatorState:
         else:
             values = _integers(_sequence(samples, "samples", InputRangeError), "sample",
                                InputRangeError)  # so no np.uint64 wraps
-            try:  # past int64 is out of range while B <= 64: the check below finds it
-                values = np.array(values, dtype=np.int64 if self.config.input_bits <= 64 else object)
+            try:  # a value past int64 is in range only at B > 64: the check below decides
+                values = np.array(values, dtype=np.int64)
             except OverflowError:
                 values = np.array(values, dtype=object)
         # min/max compared as Python ints: exact for every dtype (uint64 2**64-1 is not -1)

@@ -192,7 +192,8 @@ def test_numpy_integers_are_kept_as_python_ints():
         SigmaDeltaModulator().stream(0.5, 9)
 
 
-def test_run_takes_numpy_integer_lists_without_the_oracle():
+@pytest.mark.parametrize("bits", [8, 70])
+def test_run_takes_numpy_integer_lists_without_the_oracle(bits):
     rng = np.random.default_rng(7)
     n = 3000
     nd, we = rng.random(n) < 0.8, np.zeros(n, dtype=bool)
@@ -200,7 +201,7 @@ def test_run_takes_numpy_integer_lists_without_the_oracle():
     din = rng.integers(-128, 128, n).tolist()
     ldin = [0] * n
     ldin[1500] = 5
-    cfg = CicConfig(2, 8, 1, 8)
+    cfg = CicConfig(2, 8, 1, bits)
     want = ChipModel(cfg, rate_range=(1, 16)).run(nd, din, we, ldin)
     chip = ChipModel(cfg, rate_range=(1, 16))
     blocks = []
@@ -213,7 +214,7 @@ def test_run_takes_numpy_integer_lists_without_the_oracle():
         got = chip.run(nd, list(map(np.int64, din)), we, list(map(np.int32, ldin)))
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    # converted once, in `run`: the core gets the checked int64 samples
+    # converted once, in `run`: the core gets the checked samples as int64, at any B
     assert len(blocks) == 2 and all(b.dtype == np.int64 for b in blocks)
     assert np.concatenate(blocks).tolist() == [x for x, a in zip(din, nd & ~we) if a]
 

@@ -334,7 +334,8 @@ def engine_state(state):
 
 
 @pytest.mark.parametrize("dtype", INT_DTYPES)
-@pytest.mark.parametrize("bits", [8, 40])  # W = 14 (int64 path) and W = 46
+# W = 14 and 46 (one int64 limb), and 76 (two limbs, B past 64: uint64 up to 2**64 - 1)
+@pytest.mark.parametrize("bits", [8, 40, 70])
 def test_block_accepts_every_integer_dtype(dtype, bits):
     cfg = CicConfig(2, 4, 2, bits)
     info = np.iinfo(dtype)
