@@ -2,16 +2,19 @@
 
 File formats are line-oriented decimal text: sample files hold one signed
 integer per line (``#`` starts a comment line), pin traces hold one cycle
-per line as ``nd din we ldin`` with ``-`` for don't-care fields; both are
-read by one chunked reader (`_read_chunks`), so the first error in a file
-is the one reported, and split by one tokenizer (`_tokens`).  Pin dumps
-hold one ``cycle rdy dout rfd`` row per cycle, and response tables are CSV
-with an ``f,mag_db,phase_rad`` header; both are written `_ROWS_PER_WRITE`
-rows at a time as byte arrays.  A dump block formats each value `dout`
-holds once (`_format_pins`); response tables read exactly as ``'%.12g' %``
-prints each value, which is the oracle for the few values the arrays cannot
-vouch for, and a block's values share a field as narrow as that block's
-digits allow (`_format_rows`).  Every command accepts ``-`` for stdin/stdout.
+per line as ``nd din we ldin`` with ``-`` for don't-care fields, which both
+trace parsers return as (n, 4) rows (`PinInputs` is the chip's scalar
+oracle's type); both formats are read by one chunked reader (`_read_chunks`),
+so the first error in a file is the one reported, and split by one tokenizer
+(`_tokens`).  Pin dumps hold one ``cycle rdy dout rfd`` row per cycle, and
+response tables are CSV with an ``f,mag_db,phase_rad`` header; both are
+written `_ROWS_PER_WRITE` rows at a time as byte arrays.  A dump block
+formats each value `dout` holds once (`_format_pins`); response tables read
+exactly as ``'%.12g' %`` prints each value, which is the oracle for the few
+values the arrays cannot vouch for, and a block's values share a field as
+narrow as that block's digits allow (`_format_rows`).  Integers print in
+full at any length (`_exact_ints`).  Every command accepts ``-`` for
+stdin/stdout.
 Exit codes: 0 ok, 1 usage or flag error (or out of memory), 2 file/parse/
 range error (undecodable text and a closed stdin or stdout included).
 """
@@ -46,7 +49,7 @@ from .analysis import (
     response_curve,
 )
 from .compensator import design_compensator, passband_deviation_db
-from .chip import ChipModel, PinInputs, ProtocolError
+from .chip import ChipModel, ProtocolError
 from .sdm import OUTPUT_BITS, SigmaDeltaModulator
 
 
@@ -117,6 +120,21 @@ def _open_text(path: str, mode: str):
         yield fh
     finally:
         fh.detach()
+
+
+@contextmanager
+def _exact_ints():
+    """Lift the interpreter's int-to-str digit limit (Python 3.10.7 on) while
+    output is formatted, so integers of any length print exactly; input
+    parsing keeps it.  The caller's limit comes back on exit."""
+    if (limit := getattr(sys, "get_int_max_str_digits", lambda: 0)()) == 0:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _round_away(x: float, places: int = 2) -> Decimal:
@@ -215,8 +233,9 @@ def _read_chunks(fh, parse_chunk, parse_lines):
     yields nothing.  The rest, ending in a newline, goes to the one-pass
     `parse_chunk` if ASCII; where that returns None, the chunk's lines go to
     the reference ``parse_lines(lines, first_line, first_row)``, numbered
-    from the start of the file.  Lines are counted without a pass of their
-    own where `parse_chunk` succeeds: one row per line, plus the comments.
+    from the start of the file, which returns values of the same form (for
+    traces, (n, 4) rows).  Lines are counted without a pass of their own
+    where `parse_chunk` succeeds: one row per line, plus the comments.
     """
     line_no, rows = 1, 0
     for text in _line_chunks(fh):
@@ -244,18 +263,19 @@ def _read_chunks(fh, parse_chunk, parse_lines):
         yield values
 
 
-def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0) -> list[PinInputs]:
+def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0) -> np.ndarray:
     """The reference trace parser, and the only source of trace DataErrors.
 
+    `_parse_trace_chunk`'s rows, as an object array of Python ints and bools.
     Lines and cycles are numbered from `first_line` and `first_cycle`.
     """
-    trace = []
+    rows = []
     for line_no, raw in enumerate(lines, start=first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        cycle = first_cycle + len(trace)
+        cycle = first_cycle + len(rows)
         if len(fields) != 4:
             raise DataError(
                 f"cycle {cycle} (line {line_no}): expected 'nd din we ldin', "
@@ -272,8 +292,8 @@ def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0) -> list[PinIn
             raise DataError(f"cycle {cycle} (line {line_no}): nd=1 needs a din value")
         if we and fields[3] == "-":
             raise DataError(f"cycle {cycle} (line {line_no}): we=1 needs an ldin value")
-        trace.append(PinInputs(din=din, nd=nd, ldin=ldin, we=we))
-    return trace
+        rows.append((nd, din, we, ldin))
+    return np.array(rows, dtype=object).reshape(-1, 4)
 
 
 def _parse_trace_chunk(text: str) -> np.ndarray | None:
@@ -308,12 +328,6 @@ def _parse_trace_chunk(text: str) -> np.ndarray | None:
     if held.any():  # (over blanks alone np.fromstring gives [0], not [])
         rows[:, 1::2][held] = np.fromstring(a, dtype=np.int64, sep=" ")
     return rows
-
-
-def _trace_rows(lines, first_line: int, first_cycle: int) -> np.ndarray:
-    """`_parse_trace` as `_parse_trace_chunk` rows of Python ints."""
-    rows = [(p.nd, p.din, p.we, p.ldin) for p in _parse_trace(lines, first_line, first_cycle)]
-    return np.array(rows, dtype=object).reshape(-1, 4)
 
 
 @functools.cache  # built on the first response table or pin dump, then reused
@@ -502,10 +516,11 @@ def _cmd_decimate(args) -> int:
                                     lambda lines, line, _: _read_samples(lines, bits, line)):
             outputs += state.process_block(samples)
     # written only once the whole input has parsed, so an error leaves no output
-    with _open_text(args.outfile, "w") as fh:
-        fh.writelines(f"{y}\n" for y in outputs)
-    _note(f"samples_in={state.samples_in} samples_out={state.samples_out} "
-          f"width={state.width} gain={gain(config)}")
+    with _exact_ints():
+        with _open_text(args.outfile, "w") as fh:
+            fh.writelines(f"{y}\n" for y in outputs)
+        _note(f"samples_in={state.samples_in} samples_out={state.samples_out} "
+              f"width={state.width} gain={gain(config)}")
     return 0
 
 
@@ -549,13 +564,13 @@ def _cmd_chipsim(args) -> int:
     with _open_text(args.infile, "r") as fh:
         # int64 chunks and object chunks of Python ints join as Python ints
         chunks = [np.zeros((0, 4), dtype=np.int64),
-                  *_read_chunks(fh, _parse_trace_chunk, _trace_rows)]
+                  *_read_chunks(fh, _parse_trace_chunk, _parse_trace)]
     if sum(map(len, chunks)):
         # drain the pipeline so every in-flight output reaches dout
         chunks.append(np.zeros((chip.latency, 4), dtype=np.int64))
     nd, din, we, ldin = np.concatenate(chunks).T
     rdy, dout, rfd = chip.run(nd, din, we, ldin)
-    with _open_text(args.outfile, "w") as fh:
+    with _exact_ints(), _open_text(args.outfile, "w") as fh:
         for start in range(0, len(rdy), _ROWS_PER_WRITE):
             block = slice(start, start + _ROWS_PER_WRITE)
             fh.write(_format_pins(start, rdy[block], dout[block], rfd[block]))
@@ -584,7 +599,7 @@ def _cmd_sdm(args) -> int:
 def _cmd_info(args) -> int:
     config = _config_from(args)
     d = config.kernel_length
-    with _open_text("-", "w") as fh:
+    with _exact_ints(), _open_text("-", "w") as fh:
         fh.write(f"N={config.stages} R={config.rate} M={config.diff_delay} "
                  f"B={config.input_bits}\nD={d}\ngain={gain(config)}\n"
                  f"width={required_width(config)}\nnulls=")

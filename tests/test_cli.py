@@ -43,7 +43,6 @@ from cicdec.cli import (
     _parse_trace,
     _parse_trace_chunk,
     _read_samples,
-    _trace_rows,
     main,
 )
 from helpers import quiet_config
@@ -925,7 +924,8 @@ def chipsim_oracle(infile, bits, rmax):
         cut = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start))
         head, decode_error = data[:cut + 1], exc
     try:
-        trace = _parse_trace(io.TextIOWrapper(io.BytesIO(head), encoding="utf-8"))
+        rows = _parse_trace(io.TextIOWrapper(io.BytesIO(head), encoding="utf-8"))
+        trace = [PinInputs(din=d, nd=v, ldin=r, we=w) for v, d, w, r in rows.tolist()]
         if decode_error is not None:
             raise decode_error
         if trace:
@@ -1037,7 +1037,7 @@ def test_parse_trace_chunk_accepts_what_the_regex_accepts(text):
     rows = _parse_trace_chunk(text)
     assert (rows is not None) == (not _TRACE_LINE.sub("", text))
     if rows is not None:
-        assert rows.tolist() == _trace_rows(text.split("\n"), 1, 0).tolist()
+        assert rows.tolist() == _parse_trace(text.split("\n")).tolist()
 
 
 def benchmark_trace(rng, cycles, digits, bits):
@@ -1053,22 +1053,38 @@ def benchmark_trace(rng, cycles, digits, bits):
                    for c, (n, d) in enumerate(zip(nd.tolist(), din.tolist())))
 
 
-@pytest.mark.parametrize("digits, bits", [(5, 16), (18, 61)])
-def test_trace_chunks_of_real_size_match_the_line_parser(tmp_path, capsys, digits, bits):
+@pytest.mark.parametrize("digits, bits, spaced", [
+    pytest.param(5, 16, False, id="5-16"),
+    pytest.param(18, 61, False, id="18-61"),
+    pytest.param(5, 16, True, id="5-16-spaced"),
+])
+def test_trace_chunks_of_real_size_match_the_line_parser(tmp_path, capsys, digits, bits,
+                                                          spaced):
     # unlike the fuzzes, which shrink _CHUNK_CHARS, every chunk here is a
-    # full-size one that the one-pass parser takes whole
-    text = benchmark_trace(np.random.default_rng(digits), 20_000, digits, bits)
+    # full-size one: all taken whole by the one-pass parser, or, with a
+    # double space every 97 lines, all sent to the line parser
+    lines = benchmark_trace(np.random.default_rng(digits), 20_000, digits, bits)
+    lines = lines.splitlines(keepends=True)
+    if spaced:
+        lines[::97] = [line.replace(" ", "  ", 1) for line in lines[::97]]
+    text = "".join(lines)
     infile, outfile = tmp_path / "trace.txt", tmp_path / "pins.txt"
     infile.write_text(text)
     with cli._open_text(str(infile), "r") as fh:
-        chunks = list(cli._read_chunks(fh, _parse_trace_chunk, _trace_rows))
+        chunks = list(cli._read_chunks(fh, _parse_trace_chunk, _parse_trace))
     assert len(chunks) > len(text) // cli._CHUNK_CHARS >= 2
-    assert all(chunk.dtype == np.int64 for chunk in chunks)  # no line-parser fallback
-    assert np.concatenate(chunks).tolist() == _trace_rows(text.split("\n"), 1, 0).tolist()
+    assert all(chunk.dtype == (object if spaced else np.int64) for chunk in chunks)
+    assert np.concatenate(chunks).tolist() == _parse_trace(text.split("\n")).tolist()
     code, out, err = run_cli(capsys, "chipsim", "-N", "2", "-R", "3", "-B", str(bits),
                              "--rmax", "16", "--in", str(infile), "--out", str(outfile))
     assert out == ""
     assert (code, err, outfile.read_text()) == chipsim_oracle(infile, bits, ["--rmax", "16"])
+
+
+def test_parse_trace_of_no_cycles_is_an_empty_row_array():
+    for lines in ([], ["", "# only a comment", "  "]):
+        rows = _parse_trace(lines)
+        assert rows.shape == (0, 4) and rows.dtype == object
 
 
 # ---------------------------------------------------------------- sdm
@@ -1219,6 +1235,80 @@ def test_info_memory_does_not_grow_with_rate(tmp_path):
     large = child_peak_rss_kb(["info", "-N", "3", "-R", str(2 * 10**6)], tmp_path)
     assert (tmp_path / "out.txt").stat().st_size > 10**6
     assert large - small <= 10 * 1024
+
+
+# The interpreter's int-to-str digit limit (Python 3.10.7 on), which the CLI
+# lifts only while it formats output, then gives back as the caller set it.
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="no int-to-str digit limit before 3.10.7")
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+@pytest.mark.parametrize("command, stages, rate, digits", [
+    ("decimate", 1000, 32768, 4516),
+    ("info", 20000, 2, 6021),
+])
+def test_gains_past_the_digit_limit_print_exactly(tmp_path, capsys, monkeypatch, limit,
+                                                  command, stages, rate, digits):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    argv = [command, "-N", str(stages), "-R", str(rate)]
+    with digit_limit(limit):
+        code, out, err = run_cli(capsys, *argv)
+        assert sys.get_int_max_str_digits() == limit
+        with monkeypatch.context() as m:  # an error while the limit is lifted
+            if command == "decimate":
+                argv += ["--out", str(tmp_path)]  # a directory
+            else:
+                m.setattr(sys, "stdout", None)
+            assert main(argv) == 2
+        assert sys.get_int_max_str_digits() == limit
+    with digit_limit(0):
+        expected = str(rate**stages)
+    assert len(expected) == digits
+    assert code == 0 and "Traceback" not in err
+    assert f"gain={expected}" in (out + err).split()
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["decimate", "chipsim"])
+def test_outputs_past_the_digit_limit_print_exactly(tmp_path, capsys, command):
+    # 4300-digit samples, the longest `int` reads under the default limit,
+    # make outputs of 4301 digits; a 4301-digit sample is still refused
+    x = int("9" * 4300)
+    cfg = CicConfig(2, 2, 1, 14300)
+    infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+    with digit_limit(0):
+        if command == "decimate":
+            infile.write_text(f"{x}\n" * 4)
+            expected = "".join(f"{y}\n" for y in reference_decimate(cfg, [x] * 4))
+        else:
+            infile.write_text(f"1 {x} 0 -\n" * 4)
+            chip = ChipModel(cfg)
+            trace = [PinInputs(din=x, nd=True)] * 4 + [PinInputs()] * chip.latency
+            expected = pin_dump(run_trace(chip, trace))
+    assert max(len(token) for token in expected.split()) == 4301
+    argv = [command, "-N", "2", "-R", "2", "-B", "14300",
+            "--in", str(infile), "--out", str(outfile)]
+    with digit_limit(4300):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, outfile.read_text()) == (0, expected)
+        assert "Traceback" not in err
+        outfile.unlink()
+        infile.write_text(f"{x}9\n" if command == "decimate" else f"1 {x}9 0 -\n")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("cicdec: error: ") and not outfile.exists()
+        assert sys.get_int_max_str_digits() == 4300
 
 
 def test_cli_output_is_deterministic(capsys):

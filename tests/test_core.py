@@ -410,7 +410,7 @@ def test_block_rejects_non_integer_arrays(block):
         DecimatorState(CicConfig(2, 4, 1, 8)).process_block(block)
 
 
-@pytest.mark.parametrize("bits", [8, 62])  # W = 14 (int64 path) and W = 68 (object path)
+@pytest.mark.parametrize("bits", [8, 62])  # W = 14 (one int64 limb) and W = 68 (two 64-bit limbs)
 def test_rejected_block_leaves_state_unchanged(bits):
     cfg = CicConfig(2, 4, 2, bits)
     state, twin = DecimatorState(cfg), DecimatorState(cfg)
