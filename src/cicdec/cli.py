@@ -125,8 +125,9 @@ def _open_text(path: str, mode: str):
 @contextmanager
 def _exact_ints():
     """Lift the interpreter's int-to-str digit limit (Python 3.10.7 on) while
-    output is formatted, so integers of any length print exactly; input
-    parsing keeps it.  The caller's limit comes back on exit."""
+    output and error messages are formatted, so integers of any length print
+    exactly; input parsing keeps it but for `_int`'s bounded conversions.
+    The caller's limit comes back on exit."""
     if (limit := getattr(sys, "get_int_max_str_digits", lambda: 0)()) == 0:
         yield
         return
@@ -142,6 +143,29 @@ def _round_away(x: float, places: int = 2) -> Decimal:
     return Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP)
 
 
+def _int(token: str, hi: int | None = None) -> int:
+    """`int(token)`, for a decimal token past the int-to-str digit limit too.
+
+    Such a token converts under a lifted limit if its digits, less its sign,
+    blanks and leading zeros, are no more than `hi`'s (the limit's for None),
+    which bounds the quadratic cost; a longer one is out of range by its
+    length, and raises OverflowError unconverted.
+    """
+    try:
+        return int(token)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        body = token.strip()
+        body = (body[1:] if body[:1] in ("+", "-") else body).replace("_", "")
+        if not (limit and len(body) > limit and body.isdecimal()):  # refused for its form
+            raise ValueError(f"invalid literal for int() with base 10: {token!r:.200}") from None
+        digits = len(body.lstrip("0"))
+        with _exact_ints():
+            if digits > (limit if hi is None else len(str(hi))):
+                raise OverflowError(f"value of {digits} digits is out of range") from None
+            return int(token)
+
+
 def _read_samples(lines, bits: int, first_line: int = 1) -> list[int]:
     """Parse sample lines one at a time; numbering starts at `first_line`.
 
@@ -154,53 +178,56 @@ def _read_samples(lines, bits: int, first_line: int = 1) -> list[int]:
         if not line or line.startswith("#"):
             continue
         try:
-            value = int(line)
+            value = _int(line, hi)
         except ValueError:
             raise DataError(f"line {line_no}: not an integer: {line!r}")
+        except OverflowError as exc:
+            raise DataError(f"line {line_no}: {exc} for signed {bits}-bit samples")
         if not lo <= value <= hi:
-            raise DataError(
-                f"line {line_no}: value {value} outside signed {bits}-bit "
-                f"range [{lo}, {hi}]"
-            )
+            with _exact_ints():  # (B may take the range past the digit limit)
+                raise DataError(f"line {line_no}: value {value} outside signed {bits}-bit "
+                                f"range [{lo}, {hi}]")
         samples.append(value)
     return samples
 
 
 def _tokens(text: str, fields: int):
-    """The bytes, token starts, token ends and tokens' first bytes of
-    `_read_chunks` text, or None.
+    """The bytes, token starts, digit counts and tokens' first bytes of
+    `_read_chunks` text, or None: the one-pass reader's token rule.
 
     Lines must be `fields` tokens split by single spaces and ended by a
-    newline, tokens ASCII digits after an optional ``-`` or a lone ``-``.
-    The bytes and first bytes are copies the caller may overwrite
-    (`_parse_trace_chunk` blanks tokens in them); the rest are (lines,
-    `fields`) arrays.
+    newline; a token is 1 to 18 ASCII digits (exact in int64) after an
+    optional ``-``, or a lone ``-`` of 0 digits.  The bytes and first bytes
+    are copies the caller may overwrite (`_parse_trace_chunk` blanks tokens
+    in them); the rest are (lines, `fields`) arrays.
     """
-    a = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8)
+    a = np.frombuffer(bytearray(text, "ascii", "replace"), dtype=np.uint8)  # non-ASCII as "?"
     ends = np.flatnonzero(a <= ord(" "))  # spaces, newlines and control bytes
     if not text.endswith("\n") or ends.size % fields:
         return None
     starts = np.concatenate(([0], ends[:-1] + 1)).reshape(-1, fields)
     ends = ends.reshape(-1, fields)
     first = a[starts]  # an empty token's is its separator
+    digits = ends - starts
+    digits -= first == ord("-")  # (in place: a temporary costs 4x the subtraction)
     n_signs = np.count_nonzero(first == ord("-"))
     ok = (np.count_nonzero(a - ord("0") < 10) + n_signs + ends.size == a.size  # (wraps < "0")
-          and first.min() > ord(" ") and np.count_nonzero(a == ord("\n")) == len(ends)
+          and first.min() > ord(" ") and digits.max() <= 18
+          and np.count_nonzero(a == ord("\n")) == len(ends)
           and (a[ends[:, :-1]] == ord(" ")).all())  # so each line ends in its newline
-    return (a, starts, ends, first) if ok else None
+    return (a, starts, digits, first) if ok else None
 
 
 def _parse_chunk(text: str, bits: int) -> np.ndarray | None:
     """The samples of `_read_chunks` text in one pass, or None.
 
-    Takes only `_tokens` lines of one token, an optional ``-`` followed by
-    1 to 18 digits, all in range; for anything else it returns None.
+    Takes only `_tokens` lines of one token with at least one digit, all
+    values in range; for anything else it returns None.
     """
     if (tokens := _tokens(text, 1)) is None:
         return None
-    a, starts, ends, first = tokens
-    digits = ends - starts - (first == ord("-"))
-    if digits.min() < 1 or digits.max() > 18:
+    a, _, digits, _ = tokens
+    if digits.min() < 1:  # a lone `-`
         return None
     values = np.fromstring(a, dtype=np.int64, sep=" ")
     lo, hi = _signed_range(bits)
@@ -231,7 +258,7 @@ def _read_chunks(fh, parse_chunk, parse_lines):
     A chunk's ``#`` comment lines are deleted, searched for only over the
     lines from its first ``#`` to its last, and a chunk with nothing else
     yields nothing.  The rest, ending in a newline, goes to the one-pass
-    `parse_chunk` if ASCII; where that returns None, the chunk's lines go to
+    `parse_chunk`; where that returns None, the chunk's lines go to
     the reference ``parse_lines(lines, first_line, first_row)``, numbered
     from the start of the file, which returns values of the same form (for
     traces, (n, 4) rows).  Lines are counted without a pass of their own
@@ -253,7 +280,7 @@ def _read_chunks(fh, parse_chunk, parse_lines):
             continue
         if not body.endswith("\n"):
             body += "\n"
-        values = parse_chunk(body) if body.isascii() else None
+        values = parse_chunk(body)
         if values is None:  # (split's empty last item is a blank line to both)
             values = parse_lines(text.split("\n"), line_no, rows)
             line_no += text.count("\n")
@@ -263,12 +290,16 @@ def _read_chunks(fh, parse_chunk, parse_lines):
         yield values
 
 
-def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0) -> np.ndarray:
+def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0,
+                 bits: int | None = None) -> np.ndarray:
     """The reference trace parser, and the only source of trace DataErrors.
 
     `_parse_trace_chunk`'s rows, as an object array of Python ints and bools.
-    Lines and cycles are numbered from `first_line` and `first_cycle`.
+    Lines and cycles are numbered from `first_line` and `first_cycle`.  Past
+    the int-to-str digit limit a din reads as long as a signed `bits`-bit
+    value (as the limit for None), and an ldin is out of range (`_int`).
     """
+    hi = None if bits is None else _signed_range(bits)[1]
     rows = []
     for line_no, raw in enumerate(lines, start=first_line):
         line = raw.strip()
@@ -284,9 +315,9 @@ def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0) -> np.ndarray
         try:
             nd = _parse_flag(fields[0])
             we = _parse_flag(fields[2])
-            din = 0 if fields[1] == "-" else int(fields[1])
-            ldin = 0 if fields[3] == "-" else int(fields[3])
-        except ValueError as exc:
+            din = 0 if fields[1] == "-" else _int(fields[1], hi)
+            ldin = 0 if fields[3] == "-" else _int(fields[3])
+        except (ValueError, OverflowError) as exc:
             raise DataError(f"cycle {cycle} (line {line_no}): {exc}")
         if nd and fields[1] == "-":
             raise DataError(f"cycle {cycle} (line {line_no}): nd=1 needs a din value")
@@ -300,23 +331,21 @@ def _parse_trace_chunk(text: str) -> np.ndarray | None:
     """The cycles of `_read_chunks` text in one pass, or None.
 
     An (n, 4) array of `nd din we ldin` columns, `-` as 0.  Takes only
-    `_tokens` lines of one-byte flags from ``0 1 -`` and values of 1 to 18
-    digits (signed on din only) or a lone `-` after a low flag.  The flags
-    are read from their bytes, then blanked in `_tokens`' bytes with the
-    lone `-` tokens, so `np.fromstring` parses only the din and ldin values,
-    in the text's order, which is the rows' row-major order.
+    `_tokens` lines whose flags are one of ``0 1 -`` and whose values are
+    a lone `-` after a low flag or else have digits, signed on din only.
+    The flags are read from their bytes, then blanked in `_tokens`' bytes
+    with the lone `-` tokens, so `np.fromstring` parses only the din and
+    ldin values, in the text's order, which is the rows' row-major order.
     """
     if (tokens := _tokens(text, 4)) is None:
         return None
-    a, starts, ends, first = tokens
-    digits = ends - starts
-    digits -= first == ord("-")  # 0 for a lone `-`
+    a, starts, digits, first = tokens
     flags, values = first[:, ::2], digits[:, 1::2]
-    if ((ends[:, ::2] - starts[:, ::2]).max() > 1 or flags.max() > ord("1")
-            or values.max() > 18 or ((values == 0) & (flags == ord("1"))).any()
+    if ((digits[:, ::2] != (flags != ord("-"))).any() or flags.max() > ord("1")
+            or ((values == 0) & (flags == ord("1"))).any()
             or ((first[:, 3] == ord("-")) & (values[:, 1] > 0)).any()):
         return None
-    del tokens, ends  # (each temporary freed once spent: a lower peak, fewer page faults)
+    del tokens  # (each temporary freed once spent: a lower peak, fewer page faults)
     rows = np.zeros(first.shape, dtype=np.int64)
     rows[:, ::2] = flags == ord("1")
     blank = digits == 0
@@ -563,17 +592,18 @@ def _cmd_chipsim(args) -> int:
         raise ConfigError(exc) from exc
     with _open_text(args.infile, "r") as fh:
         # int64 chunks and object chunks of Python ints join as Python ints
-        chunks = [np.zeros((0, 4), dtype=np.int64),
-                  *_read_chunks(fh, _parse_trace_chunk, _parse_trace)]
+        chunks = [np.zeros((0, 4), dtype=np.int64), *_read_chunks(
+            fh, _parse_trace_chunk, functools.partial(_parse_trace, bits=config.input_bits))]
     if sum(map(len, chunks)):
         # drain the pipeline so every in-flight output reaches dout
         chunks.append(np.zeros((chip.latency, 4), dtype=np.int64))
     nd, din, we, ldin = np.concatenate(chunks).T
-    rdy, dout, rfd = chip.run(nd, din, we, ldin)
-    with _exact_ints(), _open_text(args.outfile, "w") as fh:
-        for start in range(0, len(rdy), _ROWS_PER_WRITE):
-            block = slice(start, start + _ROWS_PER_WRITE)
-            fh.write(_format_pins(start, rdy[block], dout[block], rfd[block]))
+    with _exact_ints():  # (`run`'s range errors may name a din past the limit)
+        rdy, dout, rfd = chip.run(nd, din, we, ldin)
+        with _open_text(args.outfile, "w") as fh:
+            for start in range(0, len(rdy), _ROWS_PER_WRITE):
+                block = slice(start, start + _ROWS_PER_WRITE)
+                fh.write(_format_pins(start, rdy[block], dout[block], rfd[block]))
     _note(f"rdy_count={np.count_nonzero(rdy)} rfd_low={np.count_nonzero(~rfd)} "
           f"nd_dropped={np.count_nonzero(nd & we)}")
     return 0

@@ -207,7 +207,8 @@ def test_plain_sample_files_skip_the_line_parser(tmp_path, capsys, monkeypatch, 
     ("decimate", []),
     ("decimate", [0, 1000, 1000, "middle"]),
     ("chipsim", [0, 500, "middle"]),
-], ids=["decimate", "decimate-comments", "chipsim-comments"])
+    ("decimate", [1000]),  # the first `#` after the chunk's start
+], ids=["decimate", "decimate-comments", "chipsim-comments", "decimate-mid-comment"])
 def test_decimate_error_in_second_chunk_reports_absolute_line(tmp_path, capsys, monkeypatch,
                                                               command, comments):
     # The first chunk holds about _CHUNK_CHARS / len(row) lines.  It is
@@ -739,6 +740,40 @@ def test_chipsim_malformed_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "chipsim", "-N", "1", "-R", "2", "--in", str(infile))
     assert code == 2
     assert "cycle 0" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    # an empty token: its first byte is the space after it
+    ("1 5  0", "expected 'nd din we ldin', got '1 5  0'"),
+    ("0  0 -", "expected 'nd din we ldin', got '0  0 -'"),
+    # a flag is one byte
+    ("11 5 0 -", "flag field must be 0, 1 or -, got '11'"),
+    ("-1 5 0 -", "flag field must be 0, 1 or -, got '-1'"),
+])
+def test_chipsim_line_past_a_one_pass_guard(capsys, monkeypatch, line, message):
+    # each line meets every other one-pass rule, so its guard alone sends it
+    # to the line parser
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code, out, err = run_cli(capsys, "chipsim", "-N", "1", "-R", "1", "-B", "8")
+    assert (code, out, err) == (2, "", f"cicdec: error: cycle 0 (line 1): {message}\n")
+
+
+@pytest.mark.parametrize("command, text, expected", [
+    # ":" is the byte after "9", not a digit
+    ("decimate", "5:\n", "line 1: not an integer: '5:'"),
+    # a control byte, which `str.split` does not split at, is no separator
+    ("chipsim", "1 5 0\x01-\n", "cycle 0 (line 1): expected 'nd din we ldin', got '1 5 0\\x01-'"),
+    # a comment line inside a chunk goes with the newline before it, no more
+    ("decimate", "12\n# c\n-345\n", None),
+])
+def test_reader_bytes_at_the_edges_of_the_one_pass_rule(capsys, monkeypatch, command, text,
+                                                         expected):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, command, "-N", "1", "-R", "1", "-B", "16")
+    if expected is None:
+        assert (code, out) == (0, "12\n-345\n")
+    else:
+        assert (code, out, err) == (2, "", f"cicdec: error: {expected}\n")
 
 
 def test_chipsim_nd_without_din(tmp_path, capsys):
@@ -1284,7 +1319,8 @@ def test_gains_past_the_digit_limit_print_exactly(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("command", ["decimate", "chipsim"])
 def test_outputs_past_the_digit_limit_print_exactly(tmp_path, capsys, command):
     # 4300-digit samples, the longest `int` reads under the default limit,
-    # make outputs of 4301 digits; a 4301-digit sample is still refused
+    # make outputs of 4301 digits; a sample longer than the range's 4305
+    # digits is refused
     x = int("9" * 4300)
     cfg = CicConfig(2, 2, 1, 14300)
     infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
@@ -1305,10 +1341,46 @@ def test_outputs_past_the_digit_limit_print_exactly(tmp_path, capsys, command):
         assert (code, outfile.read_text()) == (0, expected)
         assert "Traceback" not in err
         outfile.unlink()
-        infile.write_text(f"{x}9\n" if command == "decimate" else f"1 {x}9 0 -\n")
+        infile.write_text(f"{x}999999\n" if command == "decimate" else f"1 {x}999999 0 -\n")
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("cicdec: error: ") and not outfile.exists()
         assert sys.get_int_max_str_digits() == 4300
+
+
+NINES = "9" * 4301  # one digit past the default int-to-str limit
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv, line, expected", [
+    (["decimate", "-B", "20000"], NINES, f"{NINES}\n"),
+    (["decimate", "-B", "8"], "-" + "0" * 4301 + "5", "-5\n"),  # leading zeros are no length
+    (["chipsim", "-B", "20000"], f"1 {NINES} 0 -",
+     f"0 0 0 1\n1 0 0 1\n2 1 {NINES} 1\n"),
+    (["decimate", "-B", "20000"], "9" * 6100,
+     "line 1: value of 6100 digits is out of range for signed 20000-bit samples"),
+    (["decimate", "-B", "20000"], "9" * 6021,  # as long as the range's ends: read, then named
+     f"line 1: value {'9' * 6021} outside signed 20000-bit range RANGE"),
+    (["chipsim", "-B", "20000"], f"1 {'9' * 6021} 0 -",
+     f"cycle 0: sample {'9' * 6021} outside signed 20000-bit range RANGE"),
+    (["chipsim", "-B", "8", "--rmax", "8"], f"0 - 1 {NINES}",
+     "cycle 0 (line 1): value of 4301 digits is out of range"),
+    (["chipsim", "-B", "8"], f"1 {NINES}x 0 -",
+     f"cycle 0 (line 1): invalid literal for int() with base 10: {NINES + 'x'!r:.200}"),
+], ids=["decimate", "decimate-zeros", "chipsim", "decimate-long", "decimate-range",
+        "chipsim-range", "chipsim-ldin", "chipsim-garbage"])
+def test_input_past_the_digit_limit(capsys, monkeypatch, argv, line, expected):
+    # a number as long as the B-bit range allows is read in full; a longer
+    # one, or any ldin past the limit, is out of range by its length
+    with digit_limit(0):
+        expected = expected.replace("RANGE", f"[{-2**19999}, {2**19999 - 1}]")
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    with digit_limit(4300):
+        code, out, err = run_cli(capsys, *argv[:1], "-N", "1", "-R", "1", *argv[1:])
+        assert sys.get_int_max_str_digits() == 4300
+    if expected.endswith("\n"):
+        assert (code, out) == (0, expected)
+    else:
+        assert (code, out, err) == (2, "", f"cicdec: error: {expected}\n")
 
 
 def test_cli_output_is_deterministic(capsys):

@@ -357,6 +357,17 @@ def test_int64_block_at_and_above_64_bits(cfg):
     assert got == reference_decimate(cfg, block)
 
 
+@pytest.mark.parametrize("block, bad", [([-128, 300], 300), ([127, -129], -129)])
+def test_block_range_error_names_the_bad_sample_not_an_extreme(block, bad):
+    # an in-range extreme before it is not out of range
+    state = DecimatorState(CicConfig(1, 1, 1, 8))
+    before = engine_state(state)
+    for given in (block, np.array(block, dtype=np.int16)):
+        with pytest.raises(InputRangeError, match=rf"^sample {bad} outside signed 8-bit range"):
+            state.process_block(given)
+        assert engine_state(state) == before
+
+
 def test_block_range_check_reads_values_before_any_cast():
     state = DecimatorState(CicConfig(2, 4, 1, 8))
     with pytest.raises(InputRangeError, match="18446744073709551615"):
