@@ -296,8 +296,8 @@ def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0,
 
     `_parse_trace_chunk`'s rows, as an object array of Python ints and bools.
     Lines and cycles are numbered from `first_line` and `first_cycle`.  Past
-    the int-to-str digit limit a din reads as long as a signed `bits`-bit
-    value (as the limit for None), and an ldin is out of range (`_int`).
+    the int-to-str digit limit `_int` reads a din as long as a signed
+    `bits`-bit value (as the limit, for None) and an ldin as the limit.
     """
     hi = None if bits is None else _signed_range(bits)[1]
     rows = []
