@@ -12,9 +12,10 @@ written `_ROWS_PER_WRITE` rows at a time as byte arrays.  A dump block
 formats each value `dout` holds once (`_format_pins`); response tables read
 exactly as ``'%.12g' %`` prints each value, which is the oracle for the few
 values the arrays cannot vouch for, and a block's values share a field as
-narrow as that block's digits allow (`_format_rows`).  Integers print in
-full at any length (`_exact_ints`).  Every command accepts ``-`` for
-stdin/stdout.
+narrow as that block's digits allow (`_format_rows`).  Each command runs
+with the int-to-str digit limit lifted (`main`), so integers print in full
+at any length; `_int` alone bounds what an input number may cost.  Every
+command accepts ``-`` for stdin/stdout.
 Exit codes: 0 ok, 1 usage or flag error (or out of memory), 2 file/parse/
 range error (undecodable text and a closed stdin or stdout included).
 """
@@ -77,6 +78,10 @@ _COMMENT_LINE = re.compile(r"\n#[^\n]*")
 # A byte that did not decode, as the ``surrogateescape`` handler passes it on.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
+# The interpreter's default int-to-str digit limit (Python 3.10.7 on), which
+# `main` lifts; `_int` keeps it for input but where `B` allows more digits.
+_DIGIT_LIMIT = 4300
+
 
 class DataError(Exception):
     """Malformed or out-of-range input data (exit code 2)."""
@@ -122,71 +127,53 @@ def _open_text(path: str, mode: str):
         fh.detach()
 
 
-@contextmanager
-def _exact_ints():
-    """Lift the interpreter's int-to-str digit limit (Python 3.10.7 on) while
-    output and error messages are formatted, so integers of any length print
-    exactly; input parsing keeps it but for `_int`'s bounded conversions.
-    The caller's limit comes back on exit."""
-    if (limit := getattr(sys, "get_int_max_str_digits", lambda: 0)()) == 0:
-        yield
-        return
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _round_away(x: float, places: int = 2) -> Decimal:
     quantum = Decimal(1).scaleb(-places)
     return Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP)
 
 
-def _int(token: str, hi: int | None = None) -> int:
-    """`int(token)`, for a decimal token past the int-to-str digit limit too.
+def _int(token: str, most: int) -> int:
+    """`int(token)` under `main`'s lifted digit limit, at a bounded cost.
 
-    Such a token converts under a lifted limit if its digits, less its sign,
-    blanks and leading zeros, are no more than `hi`'s (the limit's for None),
-    which bounds the quadratic cost; a longer one is out of range by its
-    length, and raises OverflowError unconverted.
+    A token (stripped, as its line is) of more than `_DIGIT_LIMIT` digits,
+    counted as the limit counts them (leading zeros, but not sign or
+    underscores), must be decimal, with no more than `most` digits less its
+    leading zeros; else it raises ValueError with `int()`'s text, or
+    OverflowError with its digit count, unconverted.
     """
-    try:
-        return int(token)
-    except ValueError:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        body = token.strip()
-        body = (body[1:] if body[:1] in ("+", "-") else body).replace("_", "")
-        if not (limit and len(body) > limit and body.isdecimal()):  # refused for its form
-            raise ValueError(f"invalid literal for int() with base 10: {token!r:.200}") from None
-        digits = len(body.lstrip("0"))
-        with _exact_ints():
-            if digits > (limit if hi is None else len(str(hi))):
-                raise OverflowError(f"value of {digits} digits is out of range") from None
-            return int(token)
+    if len(token) > _DIGIT_LIMIT:  # (else it has no more digits than that)
+        body = (token[1:] if token[:1] in ("+", "-") else token).replace("_", "")
+        if len(body) > _DIGIT_LIMIT:
+            if not body.isdecimal():
+                raise ValueError(f"invalid literal for int() with base 10: {token!r:.200}")
+            if (digits := len(body.lstrip("0"))) > most:
+                raise OverflowError(f"value of {digits} digits is out of range")
+    return int(token)
 
 
 def _read_samples(lines, bits: int, first_line: int = 1) -> list[int]:
     """Parse sample lines one at a time; numbering starts at `first_line`.
 
     The reference parser, and the only source of sample-file DataErrors.
+    It runs under `main`'s lifted digit limit, which `str(hi)` needs past
+    B = 14285: a value is read if it has no more digits than `hi` (`_int`).
     """
     lo, hi = _signed_range(bits)
+    most = len(str(hi))
     samples = []
     for line_no, raw in enumerate(lines, start=first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            value = _int(line, hi)
+            value = _int(line, most)
         except ValueError:
             raise DataError(f"line {line_no}: not an integer: {line!r}")
         except OverflowError as exc:
             raise DataError(f"line {line_no}: {exc} for signed {bits}-bit samples")
         if not lo <= value <= hi:
-            with _exact_ints():  # (B may take the range past the digit limit)
-                raise DataError(f"line {line_no}: value {value} outside signed {bits}-bit "
-                                f"range [{lo}, {hi}]")
+            raise DataError(f"line {line_no}: value {value} outside signed {bits}-bit "
+                            f"range [{lo}, {hi}]")
         samples.append(value)
     return samples
 
@@ -295,11 +282,13 @@ def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0,
     """The reference trace parser, and the only source of trace DataErrors.
 
     `_parse_trace_chunk`'s rows, as an object array of Python ints and bools.
-    Lines and cycles are numbered from `first_line` and `first_cycle`.  Past
-    the int-to-str digit limit `_int` reads a din as long as a signed
-    `bits`-bit value (as the limit, for None) and an ldin as the limit.
+    Lines and cycles are numbered from `first_line` and `first_cycle`.  It
+    runs under `main`'s lifted digit limit, which the signed `bits`-bit
+    maximum's `str` needs past B = 14285: past `_DIGIT_LIMIT` digits, `_int`
+    reads a din as long as that maximum (as `_DIGIT_LIMIT`, for None) and
+    an ldin of no more than `_DIGIT_LIMIT`.
     """
-    hi = None if bits is None else _signed_range(bits)[1]
+    most = _DIGIT_LIMIT if bits is None else len(str(_signed_range(bits)[1]))
     rows = []
     for line_no, raw in enumerate(lines, start=first_line):
         line = raw.strip()
@@ -315,8 +304,8 @@ def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0,
         try:
             nd = _parse_flag(fields[0])
             we = _parse_flag(fields[2])
-            din = 0 if fields[1] == "-" else _int(fields[1], hi)
-            ldin = 0 if fields[3] == "-" else _int(fields[3])
+            din = 0 if fields[1] == "-" else _int(fields[1], most)
+            ldin = 0 if fields[3] == "-" else _int(fields[3], _DIGIT_LIMIT)
         except (ValueError, OverflowError) as exc:
             raise DataError(f"cycle {cycle} (line {line_no}): {exc}")
         if nd and fields[1] == "-":
@@ -545,11 +534,10 @@ def _cmd_decimate(args) -> int:
                                     lambda lines, line, _: _read_samples(lines, bits, line)):
             outputs += state.process_block(samples)
     # written only once the whole input has parsed, so an error leaves no output
-    with _exact_ints():
-        with _open_text(args.outfile, "w") as fh:
-            fh.writelines(f"{y}\n" for y in outputs)
-        _note(f"samples_in={state.samples_in} samples_out={state.samples_out} "
-              f"width={state.width} gain={gain(config)}")
+    with _open_text(args.outfile, "w") as fh:
+        fh.writelines(f"{y}\n" for y in outputs)
+    _note(f"samples_in={state.samples_in} samples_out={state.samples_out} "
+          f"width={state.width} gain={gain(config)}")
     return 0
 
 
@@ -598,12 +586,11 @@ def _cmd_chipsim(args) -> int:
         # drain the pipeline so every in-flight output reaches dout
         chunks.append(np.zeros((chip.latency, 4), dtype=np.int64))
     nd, din, we, ldin = np.concatenate(chunks).T
-    with _exact_ints():  # (`run`'s range errors may name a din past the limit)
-        rdy, dout, rfd = chip.run(nd, din, we, ldin)
-        with _open_text(args.outfile, "w") as fh:
-            for start in range(0, len(rdy), _ROWS_PER_WRITE):
-                block = slice(start, start + _ROWS_PER_WRITE)
-                fh.write(_format_pins(start, rdy[block], dout[block], rfd[block]))
+    rdy, dout, rfd = chip.run(nd, din, we, ldin)
+    with _open_text(args.outfile, "w") as fh:
+        for start in range(0, len(rdy), _ROWS_PER_WRITE):
+            block = slice(start, start + _ROWS_PER_WRITE)
+            fh.write(_format_pins(start, rdy[block], dout[block], rfd[block]))
     _note(f"rdy_count={np.count_nonzero(rdy)} rfd_low={np.count_nonzero(~rfd)} "
           f"nd_dropped={np.count_nonzero(nd & we)}")
     return 0
@@ -629,7 +616,7 @@ def _cmd_sdm(args) -> int:
 def _cmd_info(args) -> int:
     config = _config_from(args)
     d = config.kernel_length
-    with _exact_ints(), _open_text("-", "w") as fh:
+    with _open_text("-", "w") as fh:
         fh.write(f"N={config.stages} R={config.rate} M={config.diff_delay} "
                  f"B={config.input_bits}\nD={d}\ngain={gain(config)}\n"
                  f"width={required_width(config)}\nnulls=")
@@ -696,9 +683,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    with warnings.catch_warnings():  # the caller's filters come back on return
+    # Integers print in full at any length: the int-to-str digit limit is
+    # lifted while the command runs, and the caller's limit, like the
+    # caller's warning filters, comes back on return.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # (Python 3.10.7 on)
+    with warnings.catch_warnings():
         warnings.simplefilter("always", DifferentialDelayWarning)
         warnings.showwarning = lambda message, *_: _note(f"cicdec: warning: {message}")
+        if limit:
+            sys.set_int_max_str_digits(0)
         try:
             return args.func(args)
         except (ConfigError, DomainError) as exc:
@@ -716,6 +709,9 @@ def main(argv=None) -> int:
             _note(f"cicdec: error: input is not {exc.encoding} text: byte {byte:#04x}: "
                   f"{exc.reason}")
             return 2
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

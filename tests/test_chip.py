@@ -167,6 +167,18 @@ def test_rate_loads_across_the_64_bit_boundary_stay_exact():
     assert chip.core.width == 58
 
 
+@pytest.mark.parametrize("bits, dtype", [(63, np.int64), (64, object)])
+def test_run_dout_is_int64_while_the_width_fits(bits, dtype):
+    # N=1 R=2: W = B + 1, and two top samples sum to 2**B - 2
+    chip = ChipModel(CicConfig(1, 2, 1, bits))
+    n = 2 + chip.latency
+    top = 2 ** (bits - 1) - 1
+    rdy, dout, _ = chip.run(np.arange(n) < 2, [top, top] + [0] * (n - 2),
+                            np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64))
+    assert (chip.width, dout.dtype, dout.tolist()[-1]) == (bits + 1, dtype, 2 * top)
+    assert rdy.tolist() == [False] * (n - 1) + [True]
+
+
 def test_write_enable_on_fixed_chip_is_an_error():
     chip = ChipModel(CicConfig(2, 4, 1, 8))
     with pytest.raises(ProtocolError):

@@ -203,6 +203,32 @@ def test_plain_sample_files_skip_the_line_parser(tmp_path, capsys, monkeypatch, 
     assert outfile.read_text() == expected
 
 
+@pytest.mark.parametrize("command, text", [
+    ("decimate", "1\n2\n3\n4\n# tail"),
+    ("chipsim", "1 1 0 -\n1 2 0 -\n# tail"),
+], ids=["decimate", "chipsim"])
+def test_last_comment_without_a_newline_skips_the_line_parser(tmp_path, capsys, monkeypatch,
+                                                               command, text):
+    # the comment search runs to the end of a chunk whose last line has no newline
+    infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+    infile.write_text(text)
+    cfg = CicConfig(1, 2, 1, 8)
+    if command == "decimate":
+        line_parser = "_read_samples"
+        expected = "".join(f"{v}\n" for v in reference_decimate(cfg, [1, 2, 3, 4]))
+    else:
+        line_parser = "_parse_trace"
+        chip = ChipModel(cfg)
+        trace = [PinInputs(din=1, nd=True), PinInputs(din=2, nd=True)]
+        expected = pin_dump(run_trace(chip, trace + [PinInputs()] * chip.latency))
+    monkeypatch.setattr(cli, line_parser, mock.Mock(side_effect=AssertionError))
+    code, _, _ = run_cli(
+        capsys, command, "-N", "1", "-R", "2", "-B", "8",
+        "--in", str(infile), "--out", str(outfile),
+    )
+    assert (code, outfile.read_text()) == (0, expected)
+
+
 @pytest.mark.parametrize("command, comments", [
     ("decimate", []),
     ("decimate", [0, 1000, 1000, "middle"]),
@@ -372,6 +398,12 @@ def reference_run(text, bits, cfg):
     return 0, "".join(f"{y}\n" for y in reference_decimate(cfg, samples)), None
 
 
+def test_line_parser_takes_both_ends_of_the_range():
+    # the oracle of the test below, whose range check that test cannot see
+    assert _read_samples(["-128", "127"], 8) == [-128, 127]
+    assert _read_samples(["-1", "0"], 1) == [-1, 0]
+
+
 @given(
     lines=st.lists(SAMPLE_LINES, max_size=40),
     newline=st.sampled_from(["\n", "\r\n"]),
@@ -436,6 +468,12 @@ def test_bad_flags_exit_one(capsys):
     assert run_cli(capsys, "decimate", "-N", "0", "-R", "4")[0] == 1
     assert run_cli(capsys, "nonsense")[0] == 1
     assert run_cli(capsys)[0] == 1
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["decimate", "-h"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("usage: cicdec")
 
 
 def test_parser_is_built_once_and_each_call_sees_its_own_flags(capsys, monkeypatch):
@@ -1273,7 +1311,7 @@ def test_info_memory_does_not_grow_with_rate(tmp_path):
 
 
 # The interpreter's int-to-str digit limit (Python 3.10.7 on), which the CLI
-# lifts only while it formats output, then gives back as the caller set it.
+# lifts while a command runs, then gives back as the caller set it.
 needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                                        reason="no int-to-str digit limit before 3.10.7")
 
@@ -1348,6 +1386,7 @@ def test_outputs_past_the_digit_limit_print_exactly(tmp_path, capsys, command):
 
 
 NINES = "9" * 4301  # one digit past the default int-to-str limit
+HALF = "9" * 2150
 
 
 @needs_digit_limit
@@ -1366,17 +1405,67 @@ NINES = "9" * 4301  # one digit past the default int-to-str limit
      "cycle 0 (line 1): value of 4301 digits is out of range"),
     (["chipsim", "-B", "8"], f"1 {NINES}x 0 -",
      f"cycle 0 (line 1): invalid literal for int() with base 10: {NINES + 'x'!r:.200}"),
+    # 4300 digits and 4301 as the limit counts them: sign and `_` are no digit,
+    # a leading zero is one, and a blank makes no number
+    (["decimate", "-B", "8"], f"-{NINES[1:]}",
+     f"line 1: value -{NINES[1:]} outside signed 8-bit range [-128, 127]"),
+    (["decimate", "-B", "8"], f"+{NINES[1:]}",
+     f"line 1: value {NINES[1:]} outside signed 8-bit range [-128, 127]"),
+    (["decimate", "-B", "8"], f"-{NINES}",
+     "line 1: value of 4301 digits is out of range for signed 8-bit samples"),
+    (["decimate", "-B", "8"], f"{HALF}_{HALF}",
+     f"line 1: value {NINES[1:]} outside signed 8-bit range [-128, 127]"),
+    (["decimate", "-B", "8"], f"{HALF}_9{HALF}",
+     "line 1: value of 4301 digits is out of range for signed 8-bit samples"),
+    (["decimate", "-B", "8"], f"0{NINES[1:]}",
+     "line 1: value of 4300 digits is out of range for signed 8-bit samples"),
+    (["decimate", "-B", "8"], f"{HALF} 9{HALF}", f"line 1: not an integer: '{HALF} 9{HALF}'"),
+    (["decimate", "-B", "20000"], f"-{NINES}\n+{NINES}\n{HALF}_9{HALF}\n-00{'9' * 6020}",
+     f"-{NINES}\n{NINES}\n{NINES}\n-{'9' * 6020}\n"),
+    (["decimate", "-B", "20000"], f"-00{'9' * 6022}",
+     "line 1: value of 6022 digits is out of range for signed 20000-bit samples"),
+    (["chipsim", "-B", "8"], f"1 -{NINES[1:]} 0 -",
+     f"cycle 0: sample -{NINES[1:]} outside signed 8-bit range [-128, 127]"),
+    (["chipsim", "-B", "8", "--rmax", "8"], f"0 - 1 0{NINES[1:]}",
+     f"cycle 0: rate load {NINES[1:]} outside range [1, 8]"),
+    (["chipsim", "-B", "20000"], f"1 {'9' * 6022} 0 -",
+     "cycle 0 (line 1): value of 6022 digits is out of range"),
 ], ids=["decimate", "decimate-zeros", "chipsim", "decimate-long", "decimate-range",
-        "chipsim-range", "chipsim-ldin", "chipsim-garbage"])
+        "chipsim-range", "chipsim-ldin", "chipsim-garbage", "decimate-sign-4300",
+        "decimate-plus-4300", "decimate-sign-4301", "decimate-underscore-4300",
+        "decimate-underscore-4301", "decimate-zero-4300", "decimate-blank",
+        "decimate-20000-signs", "decimate-20000-zeros", "chipsim-sign-4300",
+        "chipsim-ldin-zero-4300", "chipsim-long"])
 def test_input_past_the_digit_limit(capsys, monkeypatch, argv, line, expected):
     # a number as long as the B-bit range allows is read in full; a longer
     # one, or any ldin past the limit, is out of range by its length
+    check_input(capsys, monkeypatch, 4300, argv, line, expected)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("limit, argv, line, expected", [
+    (0, ["chipsim", "-B", "8", "--rmax", "8"], f"0 - 1 {NINES}",
+     "cycle 0 (line 1): value of 4301 digits is out of range"),
+    (0, ["decimate", "-B", "20000"], "9" * 6100,
+     "line 1: value of 6100 digits is out of range for signed 20000-bit samples"),
+    (640, ["decimate", "-B", "8"], "9" * 1000,
+     f"line 1: value {'9' * 1000} outside signed 8-bit range [-128, 127]"),
+], ids=["chipsim-ldin-0", "decimate-long-0", "decimate-640"])
+def test_input_rule_ignores_the_callers_digit_limit(capsys, monkeypatch, limit, argv, line,
+                                                    expected):
+    # the same numbers are read, and refused, as under the default limit
+    check_input(capsys, monkeypatch, limit, argv, line, expected)
+
+
+def check_input(capsys, monkeypatch, limit, argv, line, expected):
+    """Run `line` through ``argv -N 1 -R 1`` under the caller's `limit`, and
+    check its output (`expected` ends in a newline) or its error."""
     with digit_limit(0):
         expected = expected.replace("RANGE", f"[{-2**19999}, {2**19999 - 1}]")
     monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
-    with digit_limit(4300):
+    with digit_limit(limit):
         code, out, err = run_cli(capsys, *argv[:1], "-N", "1", "-R", "1", *argv[1:])
-        assert sys.get_int_max_str_digits() == 4300
+        assert sys.get_int_max_str_digits() == limit
     if expected.endswith("\n"):
         assert (code, out) == (0, expected)
     else:
