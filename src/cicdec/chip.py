@@ -186,15 +186,15 @@ class ChipModel:
         # accepted sample, counted from the core's phase.
         taken = np.flatnonzero(accepted)
         emit_cycles, emitted = [], []
-        start, rates = 0, iter(rates)
+        lo, rates = 0, iter(rates)
         for end in [*np.flatnonzero(we).tolist(), n]:
-            lo, hi = np.searchsorted(taken, start), np.searchsorted(taken, end)
+            hi = np.searchsorted(taken, end)
             rate, phase = self.core.config.rate, self.core.phase
             emit_cycles += taken[lo:hi][rate - 1 - phase :: rate].tolist()
             emitted += self.core.process_block(samples[lo:hi])
             if end < n:
                 self.core = DecimatorState(_at_rate(self.core.config, next(rates)))
-            start = end + 1
+            lo = hi  # a load cycle takes no sample, so the next segment starts here
 
         # An output emitted on cycle c exits on c + latency, in Python ints so
         # no latency wraps; cycles count from this call's first.  dout holds

@@ -168,7 +168,7 @@ def _read_samples(lines, bits: int, first_line: int = 1) -> list[int]:
         try:
             value = _int(line, most)
         except ValueError:
-            raise DataError(f"line {line_no}: not an integer: {line!r}")
+            raise DataError(f"line {line_no}: not an integer: {line!r:.200}")
         except OverflowError as exc:
             raise DataError(f"line {line_no}: {exc} for signed {bits}-bit samples")
         if not lo <= value <= hi:
@@ -299,7 +299,7 @@ def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0,
         if len(fields) != 4:
             raise DataError(
                 f"cycle {cycle} (line {line_no}): expected 'nd din we ldin', "
-                f"got {line!r}"
+                f"got {line!r:.200}"
             )
         try:
             nd = _parse_flag(fields[0])
@@ -397,33 +397,28 @@ def _fixed_point(x: np.ndarray):
     return whole.astype(np.int64), frac, k, oracle
 
 
-def _int_groups(x: np.ndarray, groups: int):
-    """`_digit_groups` indices of int64 `x` in [0, 10**(4*groups)), 4 digits each,
-    high group first.
-
-    A group's leading zeros are blank while every group above it is 0, and 0
-    prints as ``0``.
-    """
-    rest = x
-    for k in range(4 * groups - 4, 0, -4):  # digits k + 3 to k of each value
+def _int_digits(field: np.ndarray, x: np.ndarray) -> None:
+    """Write int64 `x` in [0, 10**w) into the (n, w) uint8 `field`, w a
+    multiple of 4, right-aligned, leading zeros blank and 0 as ``0``."""
+    lut, groups, rest = _digit_groups(), field.view(np.uint32), x
+    # mode="clip" only skips a bounds-check copy: every index is in range
+    for i, k in enumerate(range(field.shape[1] - 4, 0, -4)):  # digits k + 3 to k
         g = rest // 10**k
-        yield g + _LEAD * (rest == x)
+        np.take(lut, g + _LEAD * (rest == x), out=groups[:, i], mode="clip")
         rest = rest - g * 10**k
-    yield rest + _LAST * (rest == x)
+    np.take(lut, rest + _LAST * (rest == x), out=groups[:, -1], mode="clip")
 
 
-def _frac_groups(frac: np.ndarray, groups: int):
-    """`_digit_groups` indices of int64 `frac` in [0, 10**(4*groups)), the digits
-    after the point, 4 digits each, high group first.
-
-    A group's trailing zeros are blank while every group below it is 0.
-    """
-    rest = frac
-    for k in range(4 * groups - 4, 0, -4):  # digits k + 3 to k of each value
+def _frac_digits(field: np.ndarray, frac: np.ndarray) -> None:
+    """Write int64 `frac` in [0, 10**w), the w digits after the point, into
+    the (n, w) uint8 `field`, w a multiple of 4, trailing zeros blank."""
+    lut, groups, rest = _digit_groups(), field.view(np.uint32), frac
+    # mode="clip" only skips a bounds-check copy: every index is in range
+    for i, k in enumerate(range(field.shape[1] - 4, 0, -4)):  # digits k + 3 to k
         g = rest // 10**k
         rest = rest - g * 10**k
-        yield g + _TRAIL * (rest == 0)
-    yield rest + _TRAIL
+        np.take(lut, g + _TRAIL * (rest == 0), out=groups[:, i], mode="clip")
+    np.take(lut, rest + _TRAIL, out=groups[:, -1], mode="clip")
 
 
 def _format_rows(table: np.ndarray) -> str:
@@ -431,14 +426,15 @@ def _format_rows(table: np.ndarray) -> str:
 
     Byte for byte what ``%``-formatting the rows one value at a time gives.
     Each value fills a field sized to the block: sign, `gi` 4-digit groups
-    of integer digits right-aligned, point, `gf` 4-digit groups of fraction
-    digits left-aligned, separator, with NUL for every blank; the NULs are
-    deleted at the end.  `gi` (1 to 3) holds the block's largest integer
-    part and `gf` (1 to 4) its largest `_fixed_point` fraction-digit count,
-    so the field is 3 + 4*(gi + gf) bytes (19 on most rows of a response
-    table, against 31 for 3 and 4 groups).  The values `_fixed_point` cannot
-    vouch for are formatted by ``'%.12g' %`` itself and spliced in, the
-    field widened, with NUL padding, where their text needs more.
+    of integer digits (`_int_digits`), point, `gf` 4-digit groups of
+    fraction digits (`_frac_digits`), separator, with NUL for every blank;
+    the NULs are deleted at the end.  `gi` (1 to 3) holds the block's
+    largest integer part and `gf` (1 to 4) its largest `_fixed_point`
+    fraction-digit count, so the field is 3 + 4*(gi + gf) bytes (19 on most
+    rows of a response table, against 31 for 3 and 4 groups).  The values
+    `_fixed_point` cannot vouch for are formatted by ``'%.12g' %`` itself
+    and written over their fields, the field widened, with NUL padding,
+    where their text needs more.
     """
     cols = table.shape[1]
     x = table.ravel()
@@ -456,19 +452,11 @@ def _format_rows(table: np.ndarray) -> str:
     buf[:, point] = (frac != 0) * np.uint8(ord("."))
     buf[:, -1] = ord(",")
     buf[cols - 1::cols, -1] = ord("\n")
-    lut = _digit_groups()
-    # mode="clip" only skips a bounds-check copy: every index is in range
-    digits = buf[:, 1:point].view(np.uint32)
-    for i, index in enumerate(_int_groups(whole, gi)):
-        np.take(lut, index, out=digits[:, i], mode="clip")
-    digits = buf[:, point + 1:point + 1 + 4 * gf].view(np.uint32)
-    for i, index in enumerate(_frac_groups(frac, gf)):
-        np.take(lut, index, out=digits[:, i], mode="clip")
-
+    _int_digits(buf[:, 1:point], whole)
+    _frac_digits(buf[:, point + 1:point + 1 + 4 * gf], frac)
     if where.size:
-        fields = np.zeros((where.size, width - 1), dtype=np.uint8)
-        fields[:, :text.itemsize] = text.view(np.uint8).reshape(where.size, -1)
-        buf[where, :-1] = fields
+        buf[where, :-1] = 0
+        buf[where, :text.itemsize] = text.view(np.uint8).reshape(where.size, -1)
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -478,15 +466,13 @@ def _format_pins(first: int, rdy: np.ndarray, dout: np.ndarray, rfd: np.ndarray)
     `dout` (int64 or Python ints) changes only on `rdy` cycles, as
     `ChipModel.run` gives it, so each value it holds is formatted once and
     gathered by row.  Rows are laid out as in `_format_rows`, the cycle in
-    as many 4-digit groups as the last one needs.
+    as many 4-digit groups as the last one needs (`_int_digits`).
     """
     held = np.array([str(v) for v in [*dout[:1].tolist(), *dout[rdy].tolist()]], dtype=bytes)
     n, w = len(rdy), held.itemsize
     c = 4 * -(-len(str(max(first + n - 1, 0))) // 4)  # the last cycle's digits, in groups
     buf = np.zeros((n, c + w + 6), dtype=np.uint8)
-    cycle, view = first + np.arange(n, dtype=np.int64), buf[:, :c].view(np.uint32)
-    for i, index in enumerate(_int_groups(cycle, c // 4)):
-        np.take(_digit_groups(), index, out=view[:, i], mode="clip")
+    _int_digits(buf[:, :c], first + np.arange(n, dtype=np.int64))
     buf[:, [c, c + 2, c + w + 3]], buf[:, -1] = ord(" "), ord("\n")
     buf[:, c + 1], buf[:, c + w + 4] = rdy + ord("0"), rfd + ord("0")
     buf[:, c + 3:c + 3 + w] = held.view(np.uint8).reshape(-1, w)[np.cumsum(rdy)]

@@ -637,6 +637,16 @@ def test_format_rows_matches_percent_formatting(values, cols):
     assert _format_rows(table) == line * len(table) % tuple(values)
 
 
+def test_few_table_values_go_to_the_oracle():
+    # the '%.12g' oracle costs about 5x the array writer per value, so a
+    # response table should hand it only the values near a rounding tie,
+    # exponent-notation values and zeros: here 0.14% of them
+    curve = response_curve(CicConfig(4, 266, 2), 100_001)
+    table = np.column_stack((curve.freqs, curve.mag_db, curve.phase_rad))
+    oracle = cli._fixed_point(table.ravel())[3]
+    assert np.count_nonzero(oracle) < 0.01 * table.size
+
+
 def test_response_minimal_grid(capsys):
     code, out, _ = run_cli(capsys, "response", "-N", "1", "-R", "2", "--grid", "2")
     assert code == 0
@@ -812,6 +822,18 @@ def test_reader_bytes_at_the_edges_of_the_one_pass_rule(capsys, monkeypatch, com
         assert (code, out) == (0, "12\n-345\n")
     else:
         assert (code, out, err) == (2, "", f"cicdec: error: {expected}\n")
+
+
+@pytest.mark.parametrize("command, line, prefix", [
+    ("decimate", "x" * 1_000_000, "line 1: not an integer: "),
+    ("chipsim", "1 5" + " 0" * 300_000, "cycle 0 (line 1): expected 'nd din we ldin', got "),
+], ids=["decimate", "chipsim"])
+def test_a_long_bad_line_is_quoted_up_to_200_characters(capsys, monkeypatch, command, line,
+                                                        prefix):
+    # as `int()` cuts the token it quotes: the message stays short
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code, out, err = run_cli(capsys, command, "-N", "1", "-R", "1", "-B", "8")
+    assert (code, out, err) == (2, "", f"cicdec: error: {prefix}{repr(line)[:200]}\n")
 
 
 def test_chipsim_nd_without_din(tmp_path, capsys):
@@ -1419,7 +1441,8 @@ HALF = "9" * 2150
      "line 1: value of 4301 digits is out of range for signed 8-bit samples"),
     (["decimate", "-B", "8"], f"0{NINES[1:]}",
      "line 1: value of 4300 digits is out of range for signed 8-bit samples"),
-    (["decimate", "-B", "8"], f"{HALF} 9{HALF}", f"line 1: not an integer: '{HALF} 9{HALF}'"),
+    (["decimate", "-B", "8"], f"{HALF} 9{HALF}",
+     f"line 1: not an integer: {f'{HALF} 9{HALF}'!r:.200}"),
     (["decimate", "-B", "20000"], f"-{NINES}\n+{NINES}\n{HALF}_9{HALF}\n-00{'9' * 6020}",
      f"-{NINES}\n{NINES}\n{NINES}\n-{'9' * 6020}\n"),
     (["decimate", "-B", "20000"], f"-00{'9' * 6022}",
