@@ -72,6 +72,11 @@ _INT_POW10 = np.array([10**k for k in range(17)], dtype=np.int64)
 # Offsets of the runs in `_digit_groups` after the first, which has every digit.
 _LEAD, _TRAIL, _LAST = 10_000, 20_000, 30_000
 
+#: The most digits a chunk's widest value token may have for `_short_ints`
+#: to read the chunk (every sample of B <= 14); wider chunks go to
+#: `np.fromstring`, which is the faster of the two from 5 or 6 digits on.
+_SHORT_DIGITS = 4
+
 # A comment line with the newline before it (see `_read_chunks`).
 _COMMENT_LINE = re.compile(r"\n#[^\n]*")
 
@@ -179,8 +184,8 @@ def _read_samples(lines, bits: int, first_line: int = 1) -> list[int]:
 
 
 def _tokens(text: str, fields: int):
-    """The bytes, token starts, digit counts and tokens' first bytes of
-    `_read_chunks` text, or None: the one-pass reader's token rule.
+    """The bytes, token starts and ends, digit counts and tokens' first
+    bytes of `_read_chunks` text, or None: the one-pass reader's token rule.
 
     Lines must be `fields` tokens split by single spaces and ended by a
     newline; a token is 1 to 18 ASCII digits (exact in int64) after an
@@ -202,21 +207,47 @@ def _tokens(text: str, fields: int):
           and first.min() > ord(" ") and digits.max() <= 18
           and np.count_nonzero(a == ord("\n")) == len(ends)
           and (a[ends[:, :-1]] == ord(" ")).all())  # so each line ends in its newline
-    return (a, starts, digits, first) if ok else None
+    return (a, starts, ends, digits, first) if ok else None
+
+
+def _short_ints(a: np.ndarray, ends: np.ndarray, digits: np.ndarray,
+                first: np.ndarray) -> np.ndarray:
+    """The int64 values of `_tokens` tokens of at most `_SHORT_DIGITS`
+    digits, a lone ``-`` as 0, in the shape of their `ends`.
+
+    Digit arithmetic over the bytes `a`: one gather and multiply-add per
+    digit column, right-aligned from each token's end, the widest token's
+    column first (in int16: no value passes 9999); a token reads the
+    columns past its own digits as 0, and the sign is applied last.
+    """
+    values = np.zeros(ends.shape, dtype=np.int16)
+    for j in range(int(digits.max()), 0, -1):  # the digit j places before the end
+        d = a[ends - j]
+        d -= ord("0")
+        d *= digits >= j
+        values *= 10
+        values += d
+    values *= 1 - 2 * (first == ord("-")).view(np.int8)  # (np.negative's where= is 20x slower)
+    return values.astype(np.int64)
 
 
 def _parse_chunk(text: str, bits: int) -> np.ndarray | None:
     """The samples of `_read_chunks` text in one pass, or None.
 
     Takes only `_tokens` lines of one token with at least one digit, all
-    values in range; for anything else it returns None.
+    values in range; for anything else it returns None.  A chunk whose
+    widest token has at most `_SHORT_DIGITS` digits is read by
+    `_short_ints`, any other by `np.fromstring`.
     """
     if (tokens := _tokens(text, 1)) is None:
         return None
-    a, _, digits, _ = tokens
+    a, _, ends, digits, first = tokens
     if digits.min() < 1:  # a lone `-`
         return None
-    values = np.fromstring(a, dtype=np.int64, sep=" ")
+    if digits.max() <= _SHORT_DIGITS:
+        values = _short_ints(a, ends, digits, first).ravel()
+    else:
+        values = np.fromstring(a, dtype=np.int64, sep=" ")
     lo, hi = _signed_range(bits)
     if int(values.min()) < lo or int(values.max()) > hi:
         return None
@@ -322,13 +353,15 @@ def _parse_trace_chunk(text: str) -> np.ndarray | None:
     An (n, 4) array of `nd din we ldin` columns, `-` as 0.  Takes only
     `_tokens` lines whose flags are one of ``0 1 -`` and whose values are
     a lone `-` after a low flag or else have digits, signed on din only.
-    The flags are read from their bytes, then blanked in `_tokens`' bytes
-    with the lone `-` tokens, so `np.fromstring` parses only the din and
-    ldin values, in the text's order, which is the rows' row-major order.
+    The flags are read from their bytes.  Where no din or ldin has more
+    than `_SHORT_DIGITS` digits, `_short_ints` reads those columns;
+    otherwise the flags are blanked in `_tokens`' bytes with the lone `-`
+    tokens, so `np.fromstring` parses only the din and ldin values, in the
+    text's order, which is the rows' row-major order.
     """
     if (tokens := _tokens(text, 4)) is None:
         return None
-    a, starts, digits, first = tokens
+    a, starts, ends, digits, first = tokens
     flags, values = first[:, ::2], digits[:, 1::2]
     if ((digits[:, ::2] != (flags != ord("-"))).any() or flags.max() > ord("1")
             or ((values == 0) & (flags == ord("1"))).any()
@@ -337,12 +370,15 @@ def _parse_trace_chunk(text: str) -> np.ndarray | None:
     del tokens  # (each temporary freed once spent: a lower peak, fewer page faults)
     rows = np.zeros(first.shape, dtype=np.int64)
     rows[:, ::2] = flags == ord("1")
+    if values.max() <= _SHORT_DIGITS:
+        rows[:, 1::2] = _short_ints(a, ends[:, 1::2], values, first[:, 1::2])
+        return rows
     blank = digits == 0
     blank[:, ::2] = True  # the flags and the lone `-` values
     held = ~blank[:, 1::2]
     np.putmask(first, blank, ord(" "))  # (then one write of every first byte: no gather)
     a[starts] = first
-    del starts, digits, values, blank
+    del starts, ends, digits, values, blank
     if held.any():  # (over blanks alone np.fromstring gives [0], not [])
         rows[:, 1::2][held] = np.fromstring(a, dtype=np.int64, sep=" ")
     return rows
@@ -479,6 +515,19 @@ def _format_pins(first: int, rdy: np.ndarray, dout: np.ndarray, rfd: np.ndarray)
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _format_ints(y: np.ndarray) -> str:
+    """``"%d\\n" * n % tuple(y)`` of a non-empty int64 block `y` without
+    -2**63: a sign column, then |y| in as many 4-digit groups as the
+    block's largest needs (`_int_digits`), laid out as in `_format_rows`."""
+    magnitude = np.abs(y)
+    c = 4 * -(-len(str(int(magnitude.max()))) // 4)
+    buf = np.zeros((len(y), c + 2), dtype=np.uint8)
+    buf[:, 0] = (y < 0) * np.uint8(ord("-"))
+    _int_digits(buf[:, 1:-1], magnitude)
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _parse_flag(token: str) -> bool:
     if token in ("-", "0"):
         return False
@@ -519,9 +568,15 @@ def _cmd_decimate(args) -> int:
         for samples in _read_chunks(fh, functools.partial(_parse_chunk, bits=bits),
                                     lambda lines, line, _: _read_samples(lines, bits, line)):
             outputs += state.process_block(samples)
-    # written only once the whole input has parsed, so an error leaves no output
+    # written only once the whole input has parsed, so an error leaves no output;
+    # below 64 bits every |y| fits int64, and `str` is the oracle at any width
     with _open_text(args.outfile, "w") as fh:
-        fh.writelines(f"{y}\n" for y in outputs)
+        if state.width < 64:
+            for start in range(0, len(outputs), _ROWS_PER_WRITE):
+                block = np.array(outputs[start:start + _ROWS_PER_WRITE], dtype=np.int64)
+                fh.write(_format_ints(block))
+        else:
+            fh.writelines(f"{y}\n" for y in outputs)
     _note(f"samples_in={state.samples_in} samples_out={state.samples_out} "
           f"width={state.width} gain={gain(config)}")
     return 0
