@@ -37,6 +37,7 @@ from cicdec import (
 )
 from cicdec.cli import (
     DataError,
+    _format_ints,
     _format_pins,
     _format_rows,
     _parse_chunk,
@@ -97,6 +98,42 @@ def test_decimate_round_trips_byte_exactly(tmp_path, capsys):
     assert code == 0
     expected = reference_decimate(CicConfig(2, 4, 1, 8), samples)
     assert outfile.read_text() == "".join(f"{v}\n" for v in expected)
+
+
+@given(ys=st.lists(st.one_of(st.integers(-300, 300), st.integers(-(2**62), 2**62)),
+                   min_size=1, max_size=60))
+@example(ys=[0, -1, 2**62, -(2**62)])
+@example(ys=[9999, -10000, 2**63 - 1, -(2**63 - 1)])  # a group boundary; int64's ends but one
+def test_format_ints_matches_percent_formatting(ys):
+    # the decimate writer below 64 bits, where every output is within +-2**62
+    assert _format_ints(np.array(ys, dtype=np.int64)) == "%d\n" * len(ys) % tuple(ys)
+
+
+def test_decimate_writes_int64_blocks_of_their_own_widths(capsys, monkeypatch):
+    # W = 63, the widest the int64 writer takes: the range's ends, and
+    # write blocks of 1 to 19 digits
+    ys = [5, -7, 0, 2**62 - 1, -(2**62), 12, -1]
+    text = "".join(f"{y}\n" for y in ys)
+    spy = mock.Mock(wraps=_format_ints)
+    monkeypatch.setattr(cli, "_format_ints", spy)
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "decimate", "-N", "1", "-R", "1", "-B", "63")
+    assert (code, out) == (0, text)
+    assert "width=63" in err
+    assert spy.call_count == 3
+
+
+@pytest.mark.parametrize("argv, samples", [
+    (["-N", "1", "-R", "1", "-B", "64"], [-(2**63), 2**63 - 1, 0, -1]),  # -2**63 has no int64 |y|
+    (["-N", "3", "-R", "8", "-B", "60"], [-(2**59), 2**59 - 1, 7, -3] * 6),  # W = 69
+], ids=["W64", "W69"])
+def test_decimate_from_64_bits_writes_by_str(capsys, monkeypatch, argv, samples):
+    monkeypatch.setattr(cli, "_format_ints", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{x}\n" for x in samples)))
+    code, out, _ = run_cli(capsys, "decimate", *argv)
+    cfg = CicConfig(int(argv[1]), int(argv[3]), 1, int(argv[5]))
+    assert (code, out) == (0, "".join(f"{y}\n" for y in reference_decimate(cfg, samples)))
 
 
 def test_decimate_over_stdio(capsys, monkeypatch):
@@ -227,6 +264,35 @@ def test_last_comment_without_a_newline_skips_the_line_parser(tmp_path, capsys, 
         "--in", str(infile), "--out", str(outfile),
     )
     assert (code, outfile.read_text()) == (0, expected)
+
+
+@pytest.mark.parametrize("command", ["decimate", "chipsim"])
+@pytest.mark.parametrize("widest, calls", [("-9999", 0), ("10000", 1)], ids=["4-digits", "5-digits"])
+def test_short_tokens_skip_the_number_parser(tmp_path, capsys, monkeypatch, command, widest,
+                                             calls):
+    # a chunk whose value tokens have at most 4 digits is read by digit
+    # arithmetic, and one 5-digit token sends its chunk to np.fromstring
+    samples = [1, -22, 0, 333, int(widest), -4444, 7]
+    infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+    cfg = CicConfig(1, 2, 1, 16)
+    if command == "decimate":
+        write_samples(infile, samples)
+        expected = "".join(f"{v}\n" for v in reference_decimate(cfg, samples))
+    else:
+        infile.write_text("0 - 0 -\n" + "".join(f"1 {x} 0 -\n" for x in samples))
+        chip = ChipModel(cfg)
+        trace = [PinInputs()] + [PinInputs(din=x, nd=True) for x in samples]
+        expected = pin_dump(run_trace(chip, trace + [PinInputs()] * chip.latency))
+    spy = mock.Mock(wraps=np.fromstring)
+    monkeypatch.setattr(np, "fromstring", spy)
+    monkeypatch.setattr(cli, "_read_samples" if command == "decimate" else "_parse_trace",
+                        mock.Mock(side_effect=AssertionError))
+    code, _, _ = run_cli(
+        capsys, command, "-N", "1", "-R", "2", "-B", "16",
+        "--in", str(infile), "--out", str(outfile),
+    )
+    assert (code, outfile.read_text()) == (0, expected)
+    assert spy.call_count == calls
 
 
 @pytest.mark.parametrize("command, comments", [
@@ -458,6 +524,30 @@ def test_parse_chunk_accepts_what_the_regex_accepts(text, bits):
     assert (values is None) == (want is None)
     if values is not None:
         assert values.tolist() == want
+
+
+def digit_token(digits, signed=True):
+    """Tokens of 1 to `digits` digits, leading zeros included, signed or not."""
+    body = st.integers(1, digits).flatmap(
+        lambda n: st.text("0123456789", min_size=n, max_size=n))
+    return st.tuples(st.sampled_from(["", "-"] if signed else [""]), body).map("".join)
+
+
+@given(tokens=st.lists(digit_token(6), min_size=1, max_size=12), bits=st.sampled_from([8, 14, 21]))
+@example(tokens=["0007", "-0007", "-0", "9999", "-9999"], bits=21)  # the widest at the cut
+@example(tokens=["00007", "-0007", "-0"], bits=21)  # one past it, by a leading zero
+@example(tokens=["-10000", "1", "-1"], bits=21)
+@example(tokens=["-8192", "8191"], bits=14)  # -B 14's ends, 4 digits each
+@example(tokens=["-8193"], bits=14)
+def test_parse_chunk_matches_the_line_parser_on_either_side_of_the_cut(tokens, bits):
+    text = "".join(token + "\n" for token in tokens)
+    try:
+        want = _read_samples(text.split("\n"), bits)
+    except DataError:  # out of range
+        want = None
+    values = _parse_chunk(text, bits)
+    assert (None if values is None else values.tolist()) == want
+    assert values is None or values.dtype == np.int64
 
 
 # ---------------------------------------------------------------- usage errors
@@ -1133,6 +1223,21 @@ def test_parse_trace_chunk_accepts_what_the_regex_accepts(text):
     assert (rows is not None) == (not _TRACE_LINE.sub("", text))
     if rows is not None:
         assert rows.tolist() == _parse_trace(text.split("\n")).tolist()
+
+
+@given(cycles=st.lists(st.tuples(st.booleans(), digit_token(6), st.booleans(),
+                                 digit_token(6, signed=False)), min_size=1, max_size=12))
+@example(cycles=[(True, "-0007", True, "0007"), (False, "9999", False, "1"),
+                 (True, "-0", False, "00")])  # the widest at the cut
+@example(cycles=[(True, "00007", False, "1"), (True, "-9999", False, "1")])
+@example(cycles=[(False, "1", False, "1"), (True, "5", True, "10000")])  # a 5-digit ldin
+def test_parse_trace_chunk_matches_the_line_parser_on_either_side_of_the_cut(cycles):
+    # a low flag's value is a lone `-`
+    text = "".join(f"{int(nd)} {din if nd else '-'} {int(we)} {ldin if we else '-'}\n"
+                   for nd, din, we, ldin in cycles)
+    rows = _parse_trace_chunk(text)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == _parse_trace(text.split("\n")).tolist()
 
 
 def benchmark_trace(rng, cycles, digits, bits):
