@@ -373,7 +373,7 @@ def _parse_trace_chunk(text: str) -> np.ndarray | None:
         return None
     del tokens  # (each temporary freed once spent: a lower peak, fewer page faults)
     if not (short := values.max() <= _SHORT_DIGITS):
-        del ends  # (held, it sends `rows` to fresh pages: +17% on a 20k-cycle trace)
+        del ends  # (before `rows`: held, it leaves `rows` to fresh pages, each faulted in)
     rows = np.zeros(first.shape, dtype=np.int64)
     rows[:, ::2] = flags == ord("1")
     if short:
