@@ -19,7 +19,11 @@ values the arrays cannot vouch for, and a block's values share a field as
 narrow as that block's digits allow (`_format_rows`).  Each command runs
 with the int-to-str digit limit lifted (`main`), so integers print in full
 at any length; `_int` alone bounds what an input number may cost.  Every
-command accepts ``-`` for stdin/stdout.
+command accepts ``-`` for stdin/stdout.  ``--out`` rewrites an existing
+file in place and cuts it to the bytes written (`_open_text`): an exception
+or Ctrl-C leaves the written prefix, as a truncating open did, but a kill
+that Python cannot catch (SIGKILL, or SIGTERM under the default handler)
+may leave bytes of the old file past it.
 Exit codes: 0 ok, 1 usage or flag error (or out of memory), 2 file/parse/
 range error (undecodable text and a closed stdin or stdout included).
 """
@@ -29,7 +33,9 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import os
 import re
+import stat
 import sys
 import warnings
 from contextlib import contextmanager
@@ -117,10 +123,35 @@ class _Parser(argparse.ArgumentParser):
 @contextmanager
 def _open_text(path: str, mode: str):
     """`path`, or stdin/stdout for ``-``, as text with universal newlines;
-    bytes that do not decode pass as lone surrogates for `_read_chunks`."""
-    if path != "-":
+    bytes that do not decode pass as lone surrogates for `_read_chunks`.
+
+    A path opened for writing is rewritten in place: opened as
+    ``open(path, "w")`` opens it (the same mode bits for a new file), but
+    not truncated, so an output that overwrites an earlier one reuses the
+    file's cached pages and blocks.  However the ``with`` block ends, an
+    exception or Ctrl-C included, the text is flushed as far as it goes and
+    a regular file is then cut to the bytes written: it holds what a
+    truncating open would have left.  A kill that Python cannot see
+    (SIGKILL, or SIGTERM under its default handler) may leave bytes of the
+    old file past them.  FIFOs and devices are never cut.
+    """
+    if path != "-" and mode == "r":
         with open(path, mode, errors="surrogateescape") as fh:
             yield fh
+        return
+    if path != "-":
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            with open(fd, mode, errors="surrogateescape", closefd=False) as fh:
+                yield fh  # (closing `fh` flushes it, even when that raises)
+        finally:
+            try:
+                info = os.fstat(fd)  # (a FIFO has no offset to read)
+                if stat.S_ISREG(info.st_mode) and info.st_size > (
+                        end := os.lseek(fd, 0, os.SEEK_CUR)):  # the bytes written
+                    os.ftruncate(fd, end)
+            finally:
+                os.close(fd)
         return
     name = "stdin" if mode == "r" else "stdout"
     std = getattr(sys, name)

@@ -6,8 +6,10 @@ import math
 import os
 import re
 import resource
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -1604,3 +1606,109 @@ def test_cli_output_is_deterministic(capsys):
     first = run_cli(capsys, "response", "-N", "3", "-R", "7", "--grid", "33")
     second = run_cli(capsys, "response", "-N", "3", "-R", "7", "--grid", "33")
     assert first == second
+
+
+# ---------------------------------------------------------------- --out files
+
+
+OUT_COMMANDS = ["decimate", "response", "compensate", "chipsim", "sdm"]
+
+
+def out_argv(tmp_path, command):
+    """``command``'s argv without ``--out``, over an input it writes into `tmp_path`."""
+    samples, trace = tmp_path / "samples.txt", tmp_path / "trace.txt"
+    write_samples(samples, [(-1) ** k * (k % 100) for k in range(5000)])
+    trace.write_text("".join(f"1 {k % 50} 0 -\n" for k in range(5000)))
+    return {
+        "decimate": ["decimate", "-N", "2", "-R", "4", "-B", "8", "--in", str(samples)],
+        "response": ["response", "-N", "3", "-R", "16", "-M", "2", "--grid", "5001"],
+        "compensate": ["compensate", "-N", "2", "-R", "8", "--taps", "15"],
+        "chipsim": ["chipsim", "-N", "1", "-R", "2", "-B", "8", "--in", str(trace)],
+        "sdm": ["sdm", "--dc", "0.5", "--count", "5000"],
+        "nothing": ["sdm", "--dc", "0.5", "--count", "0"],
+    }[command]
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+@pytest.mark.parametrize("command", [*OUT_COMMANDS, "nothing"])
+def test_out_over_an_existing_file_leaves_exactly_the_new_bytes(tmp_path, capsys, command, old):
+    argv = out_argv(tmp_path, command)
+    fresh, outfile = tmp_path / "fresh.txt", tmp_path / "out.txt"
+    expected = run_cli(capsys, *argv, "--out", str(fresh))
+    new = fresh.read_bytes()
+    outfile.write_bytes(b"x" * (len(new) + 9000 if old == "longer" else len(new) // 2))
+    assert run_cli(capsys, *argv, "--out", str(outfile)) == expected
+    assert outfile.read_bytes() == new and expected[0] == 0
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("old", [None, 50_000, 5_000_000], ids=["new", "shorter", "longer"])
+def test_an_error_while_writing_leaves_the_bytes_written_before_it(tmp_path, monkeypatch,
+                                                                   error, old):
+    # the table's header and its first block, as when the file was new
+    argv = ["response", "-N", "3", "-R", "16", "-M", "2", "--grid", "10001"]
+    fresh, outfile = tmp_path / "fresh.csv", tmp_path / "out.csv"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main([*argv, "--out", str(fresh)]) == 0
+    written = b"".join(fresh.read_bytes().splitlines(keepends=True)[:1 + cli._ROWS_PER_WRITE])
+    if old is not None:
+        outfile.write_bytes(b"x" * old)
+    format_rows, calls = cli._format_rows, []
+
+    def fail_on_the_second_block(block):
+        calls.append(len(block))
+        if len(calls) == 2:
+            raise error("while writing")
+        return format_rows(block)
+
+    monkeypatch.setattr(cli, "_format_rows", fail_on_the_second_block)
+    with pytest.raises(error, match="while writing"):
+        main([*argv, "--out", str(outfile)])
+    assert outfile.read_bytes() == written
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
+def test_a_new_out_file_gets_the_mode_bits_of_a_plain_open(tmp_path, capsys, umask):
+    old = os.umask(umask)
+    try:
+        assert main(["sdm", "--dc", "0.5", "--count", "3", "--out", str(tmp_path / "a")]) == 0
+        open(tmp_path / "b", "w").close()
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "a").st_mode == os.stat(tmp_path / "b").st_mode
+    (tmp_path / "a").chmod(0o600)  # and an existing file keeps its own
+    assert main(["sdm", "--dc", "0.5", "--count", "3", "--out", str(tmp_path / "a")]) == 0
+    assert stat.S_IMODE(os.stat(tmp_path / "a").st_mode) == 0o600
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+@pytest.mark.parametrize("device", ["/dev/null", "/dev/full"])
+def test_out_to_a_device_keeps_its_exit_code_and_message(tmp_path, capsys, command, device):
+    argv = out_argv(tmp_path, command)
+    result = run_cli(capsys, *argv, "--out", device)
+    if device == "/dev/null":
+        assert result == run_cli(capsys, *argv, "--out", str(tmp_path / "out.txt"))
+    else:
+        assert result == (2, "", "cicdec: error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_to_a_fifo_is_written_whole(tmp_path, capsys, command):
+    argv, fresh, fifo = out_argv(tmp_path, command), tmp_path / "fresh.txt", tmp_path / "fifo"
+    expected = run_cli(capsys, *argv, "--out", str(fresh))
+    os.mkfifo(fifo)
+    drained = []
+    reader = threading.Thread(target=lambda: drained.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli(capsys, *argv, "--out", str(fifo)) == expected
+    reader.join(timeout=60)
+    assert drained == [fresh.read_bytes()]
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_an_out_path_that_cannot_be_opened_is_one_error_line(tmp_path, capsys, command):
+    argv, missing = out_argv(tmp_path, command), tmp_path / "nope" / "out.txt"
+    assert run_cli(capsys, *argv, "--out", str(missing)) == (
+        2, "", f"cicdec: error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    assert run_cli(capsys, *argv, "--out", str(tmp_path)) == (
+        2, "", f"cicdec: error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")

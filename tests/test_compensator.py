@@ -16,6 +16,7 @@ from cicdec import (
     ConfigError,
     DomainError,
     FirFilter,
+    compensator,
     composite_response,
     design_compensator,
     magnitude,
@@ -99,6 +100,25 @@ def test_underdetermined_design_rejected():
         design_compensator(BENCH, 15, 0.25, grid_size=7)
     with pytest.raises(DomainError):
         design_compensator(BENCH, 63, 0.25, grid_size=31)
+
+
+@pytest.mark.parametrize("taps, grid, coefficients", [(15, 7, 8), (63, 31, 32)])
+def test_underdetermined_design_names_its_free_coefficients(taps, grid, coefficients):
+    with pytest.raises(DomainError) as caught:
+        design_compensator(BENCH, taps, 0.25, grid_size=grid)
+    assert str(caught.value) == (f"{taps} taps have {coefficients} free coefficients, more "
+                                 f"than the {grid} grid points that would fit them")
+
+
+def test_design_matrix_bound_takes_a_matrix_of_its_size(monkeypatch):
+    # 7 taps have 4 free coefficients, so a 10-point grid makes 40 elements:
+    # a small bound puts that boundary where no large matrix is needed
+    monkeypatch.setattr(compensator, "_MAX_DESIGN_ELEMENTS", 40)
+    assert len(design_compensator(BENCH, 7, 0.25, grid_size=10)) == 7
+    monkeypatch.setattr(compensator, "_MAX_DESIGN_ELEMENTS", 39)
+    with pytest.raises(DomainError) as caught:
+        design_compensator(BENCH, 7, 0.25, grid_size=10)
+    assert str(caught.value) == "a 10 x 4 design matrix is above the bound of 39 elements"
 
 
 def test_tiny_design_grid_rejected():
