@@ -125,14 +125,14 @@ def _open_text(path: str, mode: str):
     """`path`, or stdin/stdout for ``-``, as text with universal newlines;
     bytes that do not decode pass as lone surrogates for `_read_chunks`.
 
-    A path opened for writing is rewritten in place: opened as
-    ``open(path, "w")`` opens it (the same mode bits for a new file), but
-    not truncated, so an output that overwrites an earlier one reuses the
-    file's cached pages and blocks.  However the ``with`` block ends, an
-    exception or Ctrl-C included, the text is flushed as far as it goes and
-    a regular file is then cut to the bytes written: it holds what a
-    truncating open would have left.  A kill that Python cannot see
-    (SIGKILL, or SIGTERM under its default handler) may leave bytes of the
+    A path opened for writing is rewritten in place: it is opened as
+    ``open(path, "w")`` opens it, with the same mode bits for a new file,
+    but not truncated, so an output that overwrites an earlier one reuses
+    the file's cached pages and blocks.  However the ``with`` block ends,
+    an exception or Ctrl-C included, the text is flushed as far as it goes
+    and a regular file is then cut to the bytes written: it holds what a
+    truncating open would have left.  A kill that Python cannot catch
+    (SIGKILL, or SIGTERM under the default handler) may leave bytes of the
     old file past them.  FIFOs and devices are never cut.
     """
     if path != "-" and mode == "r":
