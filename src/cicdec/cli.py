@@ -6,11 +6,10 @@ per line as ``nd din we ldin`` with ``-`` for don't-care fields, which both
 trace parsers return as (n, 4) rows (`PinInputs` is the chip's scalar
 oracle's type); both formats are read by one chunked reader (`_read_chunks`),
 so the first error in a file is the one reported, and split by one tokenizer
-(`_tokens`).  A chunk whose widest value token has at most `_SHORT_DIGITS`
-(4) digits is read by digit arithmetic (`_short_ints`), a wider one by
-`np.fromstring`.  `decimate` writes one output per line, below 64 bits
-`_ROWS_PER_WRITE` at a time as int64 digit groups (`_format_ints`), else by
-`str`, the oracle.  Pin dumps hold one ``cycle rdy dout rfd`` row per cycle,
+(`_tokens`), whose value tokens one digit reader converts (`_token_ints`).
+`decimate` writes one output per line, below 64 bits `_ROWS_PER_WRITE` at a
+time as int64 digit groups (`_format_ints`), else by `str`, the oracle.  Pin
+dumps hold one ``cycle rdy dout rfd`` row per cycle,
 and response tables are CSV with an ``f,mag_db,phase_rad`` header; both are
 written `_ROWS_PER_WRITE` rows at a time as byte arrays.  A dump block
 formats each value `dout` holds once (`_format_pins`); response tables read
@@ -81,11 +80,6 @@ _INT_POW10 = np.array([10**k for k in range(17)], dtype=np.int64)
 
 # Offsets of the runs in `_digit_groups` after the first, which has every digit.
 _LEAD, _TRAIL, _LAST = 10_000, 20_000, 30_000
-
-#: The most digits a chunk's widest value token may have for `_short_ints`
-#: to read the chunk (every sample of B <= 14, and 9999 fits its int16
-#: sums); wider chunks go to `np.fromstring`.
-_SHORT_DIGITS = 4
 
 # A comment line with the newline before it (see `_read_chunks`).
 _COMMENT_LINE = re.compile(r"\n#[^\n]*")
@@ -219,16 +213,15 @@ def _read_samples(lines, bits: int, first_line: int = 1) -> list[int]:
 
 
 def _tokens(text: str, fields: int):
-    """The bytes, token starts and ends, digit counts and tokens' first
-    bytes of `_read_chunks` text, or None: the one-pass reader's token rule.
+    """The bytes, token ends, digit counts and tokens' first bytes of
+    `_read_chunks` text, or None: the one-pass reader's token rule.
 
     Lines must be `fields` tokens split by single spaces and ended by a
     newline; a token is 1 to 18 ASCII digits (exact in int64) after an
-    optional ``-``, or a lone ``-`` of 0 digits.  The bytes and first bytes
-    are copies the caller may overwrite (`_parse_trace_chunk` blanks tokens
-    in them); the rest are (lines, `fields`) arrays.
+    optional ``-``, or a lone ``-`` of 0 digits.  All but the bytes are
+    (lines, `fields`) arrays.
     """
-    a = np.frombuffer(bytearray(text, "ascii", "replace"), dtype=np.uint8)  # non-ASCII as "?"
+    a = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)  # non-ASCII as "?"
     ends = np.flatnonzero(a <= ord(" "))  # spaces, newlines and control bytes
     if not text.endswith("\n") or ends.size % fields:
         return None
@@ -242,47 +235,45 @@ def _tokens(text: str, fields: int):
           and first.min() > ord(" ") and digits.max() <= 18
           and np.count_nonzero(a == ord("\n")) == len(ends)
           and (a[ends[:, :-1]] == ord(" ")).all())  # so each line ends in its newline
-    return (a, starts, ends, digits, first) if ok else None
+    return (a, ends, digits, first) if ok else None
 
 
-def _short_ints(a: np.ndarray, ends: np.ndarray, digits: np.ndarray,
+def _token_ints(a: np.ndarray, ends: np.ndarray, digits: np.ndarray,
                 first: np.ndarray) -> np.ndarray:
-    """The int64 values of `_tokens` tokens of at most `_SHORT_DIGITS`
-    digits, a lone ``-`` as 0, in the shape of their `ends`.
+    """The int64 values of `_tokens` tokens, a lone ``-`` as 0, in the
+    shape of their `ends`.
 
     Digit arithmetic over the bytes `a`: one gather and multiply-add per
     digit column, right-aligned from each token's end, the widest token's
-    column first (in int16: no value passes 9999); a token reads the
-    columns past its own digits as 0, and the sign is applied last.
+    column first, in the narrowest integer type that holds 10**widest (int16
+    or narrower up to 4 digits); a token reads the columns past its own
+    digits as 0, and the sign is applied last.
     """
-    values = np.zeros(ends.shape, dtype=np.int16)
-    for j in range(int(digits.max()), 0, -1):  # the digit j places before the end
-        d = a[ends - j]
+    widest = int(digits.max())
+    values = np.zeros(ends.shape, dtype=np.min_scalar_type(-10**widest))
+    for j in range(widest, 0, -1):  # the digit j places before the end
+        d = a[ends - j].view(np.int8)  # (so int8 sums add it without a cast)
         d -= ord("0")
         d *= digits >= j
         values *= 10
         values += d
     values *= 1 - 2 * (first == ord("-")).view(np.int8)  # (np.negative's where= is 20x slower)
-    return values.astype(np.int64)
+    return values.astype(np.int64, copy=False)
 
 
 def _parse_chunk(text: str, bits: int) -> np.ndarray | None:
     """The samples of `_read_chunks` text in one pass, or None.
 
     Takes only `_tokens` lines of one token with at least one digit, all
-    values in range; for anything else it returns None.  A chunk whose
-    widest token has at most `_SHORT_DIGITS` digits is read by
-    `_short_ints`, any other by `np.fromstring`.
+    values in range, read by `_token_ints`; for anything else it returns
+    None.
     """
     if (tokens := _tokens(text, 1)) is None:
         return None
-    a, _, ends, digits, first = tokens
+    a, ends, digits, first = tokens
     if digits.min() < 1:  # a lone `-`
         return None
-    if digits.max() <= _SHORT_DIGITS:
-        values = _short_ints(a, ends, digits, first).ravel()
-    else:
-        values = np.fromstring(a, dtype=np.int64, sep=" ")
+    values = _token_ints(a, ends, digits, first).ravel()
     lo, hi = _signed_range(bits)
     if int(values.min()) < lo or int(values.max()) > hi:
         return None
@@ -388,36 +379,20 @@ def _parse_trace_chunk(text: str) -> np.ndarray | None:
     An (n, 4) array of `nd din we ldin` columns, `-` as 0.  Takes only
     `_tokens` lines whose flags are one of ``0 1 -`` and whose values are
     a lone `-` after a low flag or else have digits, signed on din only.
-    The flags are read from their bytes.  Where no din or ldin has more
-    than `_SHORT_DIGITS` digits, `_short_ints` reads those columns;
-    otherwise the flags are blanked in `_tokens`' bytes with the lone `-`
-    tokens, so `np.fromstring` parses only the din and ldin values, in the
-    text's order, which is the rows' row-major order.
+    The flags are read from their first bytes, din and ldin by
+    `_token_ints`.
     """
     if (tokens := _tokens(text, 4)) is None:
         return None
-    a, starts, ends, digits, first = tokens
+    a, ends, digits, first = tokens
     flags, values = first[:, ::2], digits[:, 1::2]
     if ((digits[:, ::2] != (flags != ord("-"))).any() or flags.max() > ord("1")
             or ((values == 0) & (flags == ord("1"))).any()
             or ((first[:, 3] == ord("-")) & (values[:, 1] > 0)).any()):
         return None
-    del tokens  # (each temporary freed once spent: a lower peak, fewer page faults)
-    if not (short := values.max() <= _SHORT_DIGITS):
-        del ends  # (before `rows`: held, it leaves `rows` to fresh pages, each faulted in)
     rows = np.zeros(first.shape, dtype=np.int64)
     rows[:, ::2] = flags == ord("1")
-    if short:
-        rows[:, 1::2] = _short_ints(a, ends[:, 1::2], values, first[:, 1::2])
-        return rows
-    blank = digits == 0
-    blank[:, ::2] = True  # the flags and the lone `-` values
-    held = ~blank[:, 1::2]
-    np.putmask(first, blank, ord(" "))  # (then one write of every first byte: no gather)
-    a[starts] = first
-    del starts, digits, values, blank
-    if held.any():  # (over blanks alone np.fromstring gives [0], not [])
-        rows[:, 1::2][held] = np.fromstring(a, dtype=np.int64, sep=" ")
+    rows[:, 1::2] = _token_ints(a, ends[:, 1::2], values, first[:, 1::2])
     return rows
 
 

@@ -269,14 +269,16 @@ def test_last_comment_without_a_newline_skips_the_line_parser(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command", ["decimate", "chipsim"])
-@pytest.mark.parametrize("widest, calls", [("-9999", 0), ("10000", 1)], ids=["4-digits", "5-digits"])
-def test_short_tokens_skip_the_number_parser(tmp_path, capsys, monkeypatch, command, widest,
-                                             calls):
-    # a chunk whose value tokens have at most 4 digits is read by digit
-    # arithmetic, and one 5-digit token sends its chunk to np.fromstring
+@pytest.mark.parametrize("widest, bits", [
+    ("-9999", 16), ("10000", 16), ("1234567890", 64), ("-" + "9" * 18, 64),
+], ids=["4-digits", "5-digits", "10-digits", "18-digits"])
+def test_canonical_chunks_skip_the_line_parser(tmp_path, capsys, monkeypatch, command, widest,
+                                               bits):
+    # a chunk of canonical lines is read in one pass whatever its widest
+    # value token, up to the 18 digits that int64 holds
     samples = [1, -22, 0, 333, int(widest), -4444, 7]
     infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
-    cfg = CicConfig(1, 2, 1, 16)
+    cfg = CicConfig(1, 2, 1, bits)
     if command == "decimate":
         write_samples(infile, samples)
         expected = "".join(f"{v}\n" for v in reference_decimate(cfg, samples))
@@ -285,16 +287,13 @@ def test_short_tokens_skip_the_number_parser(tmp_path, capsys, monkeypatch, comm
         chip = ChipModel(cfg)
         trace = [PinInputs()] + [PinInputs(din=x, nd=True) for x in samples]
         expected = pin_dump(run_trace(chip, trace + [PinInputs()] * chip.latency))
-    spy = mock.Mock(wraps=np.fromstring)
-    monkeypatch.setattr(np, "fromstring", spy)
     monkeypatch.setattr(cli, "_read_samples" if command == "decimate" else "_parse_trace",
                         mock.Mock(side_effect=AssertionError))
     code, _, _ = run_cli(
-        capsys, command, "-N", "1", "-R", "2", "-B", "16",
+        capsys, command, "-N", "1", "-R", "2", "-B", str(bits),
         "--in", str(infile), "--out", str(outfile),
     )
     assert (code, outfile.read_text()) == (0, expected)
-    assert spy.call_count == calls
 
 
 @pytest.mark.parametrize("command, comments", [
@@ -535,13 +534,21 @@ def digit_token(digits, signed=True):
     return st.tuples(st.sampled_from(["", "-"] if signed else [""]), body).map("".join)
 
 
-@given(tokens=st.lists(digit_token(6), min_size=1, max_size=12), bits=st.sampled_from([8, 14, 21]))
-@example(tokens=["0007", "-0007", "-0", "9999", "-9999"], bits=21)  # the widest at the cut
-@example(tokens=["00007", "-0007", "-0"], bits=21)  # one past it, by a leading zero
+@given(tokens=st.lists(digit_token(18), min_size=1, max_size=12),
+       bits=st.sampled_from([8, 14, 21, 64]))
+# the widest token on either side of each sum type's width: int8 to 2 digits,
+# int16 to 4, int32 to 9 and int64 to 18
+@example(tokens=["-99", "99", "-0", "7"], bits=8)
+@example(tokens=["-99", "100", "-128"], bits=8)
+@example(tokens=["0007", "-0007", "-0", "9999", "-9999"], bits=21)
+@example(tokens=["00007", "-0007", "-0"], bits=21)  # 5 digits by a leading zero
 @example(tokens=["-10000", "1", "-1"], bits=21)
 @example(tokens=["-8192", "8191"], bits=14)  # -B 14's ends, 4 digits each
 @example(tokens=["-8193"], bits=14)
-def test_parse_chunk_matches_the_line_parser_on_either_side_of_the_cut(tokens, bits):
+@example(tokens=["-999999999", "999999999", "-1"], bits=64)
+@example(tokens=["-0999999999", "1000000000", "-1"], bits=64)
+@example(tokens=["-" + "9" * 18, "9" * 18, "0" * 18, "-1"], bits=64)
+def test_parse_chunk_matches_the_line_parser_at_every_width(tokens, bits):
     text = "".join(token + "\n" for token in tokens)
     try:
         want = _read_samples(text.split("\n"), bits)
@@ -1160,7 +1167,7 @@ def chipsim_oracle(infile, bits, rmax):
          rmax=["--rmax", "16"], bits=8, chunk=48)
 @example(lines=["1 9999999999999999999 0 -"] * 3, newline="\n", bad_bytes=b"", bad_at=0,
          rmax=[], bits=70, chunk=48)
-# a first chunk of idle cycles only, with no value for np.fromstring to parse
+# a first chunk of idle cycles only, whose din and ldin are all `-`
 @example(lines=["0 - 0 -", "- - - -", "1 5 0 -", "0 - 1 4", "1 -3 0 -"], newline="\n",
          bad_bytes=b"", bad_at=0, rmax=["--rmax", "16"], bits=8, chunk=16)
 def test_chipsim_any_trace_exits_cleanly(tmp_path_factory, lines, newline, bad_bytes,
@@ -1218,7 +1225,7 @@ TRACE_CHUNK = st.one_of(
 @example(text="1 - 0 5\n")  # a lone `-` din with nd=1
 @example(text="- - - -\n0 -0 1 " + "9" * 18 + "\n")
 @example(text="1 5 0 -5\n")  # a signed ldin
-@example(text="0 - 0 -\n")  # no value token: np.fromstring would give [0]
+@example(text="0 - 0 -\n")  # no value token
 @example(text="- - - -\n0 - 0 -\n")
 def test_parse_trace_chunk_accepts_what_the_regex_accepts(text):
     rows = _parse_trace_chunk(text)
@@ -1227,13 +1234,21 @@ def test_parse_trace_chunk_accepts_what_the_regex_accepts(text):
         assert rows.tolist() == _parse_trace(text.split("\n")).tolist()
 
 
-@given(cycles=st.lists(st.tuples(st.booleans(), digit_token(6), st.booleans(),
-                                 digit_token(6, signed=False)), min_size=1, max_size=12))
+@given(cycles=st.lists(st.tuples(st.booleans(), digit_token(18), st.booleans(),
+                                 digit_token(18, signed=False)), min_size=1, max_size=12))
+# the widest value on either side of each sum type's width, as in
+# test_parse_chunk_matches_the_line_parser_at_every_width
+@example(cycles=[(False, "1", False, "1"), (False, "5", False, "5")])  # all `-`: 0 digits
+@example(cycles=[(True, "-99", True, "99"), (False, "1", False, "1")])
+@example(cycles=[(True, "-99", True, "100")])
 @example(cycles=[(True, "-0007", True, "0007"), (False, "9999", False, "1"),
-                 (True, "-0", False, "00")])  # the widest at the cut
+                 (True, "-0", False, "00")])
 @example(cycles=[(True, "00007", False, "1"), (True, "-9999", False, "1")])
 @example(cycles=[(False, "1", False, "1"), (True, "5", True, "10000")])  # a 5-digit ldin
-def test_parse_trace_chunk_matches_the_line_parser_on_either_side_of_the_cut(cycles):
+@example(cycles=[(True, "-999999999", True, "999999999")])
+@example(cycles=[(True, "-999999999", True, "0999999999")])
+@example(cycles=[(True, "-" + "9" * 18, True, "9" * 18), (True, "-0", True, "0" * 18)])
+def test_parse_trace_chunk_matches_the_line_parser_at_every_width(cycles):
     # a low flag's value is a lone `-`
     text = "".join(f"{int(nd)} {din if nd else '-'} {int(we)} {ldin if we else '-'}\n"
                    for nd, din, we, ldin in cycles)
