@@ -6,8 +6,9 @@
 Each mutant changes one token inside the named functions (methods too): a
 comparison moved across its boundary (``<`` and ``<=``, ``>`` and ``>=``,
 ``==`` and ``!=``), ``+``/``-`` or ``&``/``|`` swapped (augmented
-assignments included), or one of the integer constants 0, 1, 18, 63 and 64
-moved by one either way.  The module is rewritten with `ast.unparse` into a
+assignments included), ``**`` made ``*``, a unary minus dropped (made
+``+``), or one of the integer constants 0, 1, 4, 10, 18, 63 and 64 moved by
+one either way.  The module is rewritten with `ast.unparse` into a
 copy of ``src``, ``tests`` and ``pyproject.toml``, never into this tree, and
 the tests run there with ``--hypothesis-seed=0``, stopping at the first
 failure.  A mutant that no test fails is printed as SURVIVED; the unmutated
@@ -28,8 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add,
-         ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd}
-CONSTANTS = {0, 1, 18, 63, 64}
+         ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.Pow: ast.Mult, ast.USub: ast.UAdd}
+CONSTANTS = {0, 1, 4, 10, 18, 63, 64}
 
 
 def sites(tree: ast.Module, functions: set[str]):
@@ -39,7 +40,7 @@ def sites(tree: ast.Module, functions: set[str]):
             continue
         for node in (n for statement in fn.body for n in ast.walk(statement)):
             ops = node.ops if isinstance(node, ast.Compare) else (
-                [node.op] if isinstance(node, (ast.BinOp, ast.AugAssign)) else [])
+                [node.op] if isinstance(node, (ast.BinOp, ast.AugAssign, ast.UnaryOp)) else [])
             for i, op in enumerate(ops):
                 if type(op) in SWAPS:
                     new = SWAPS[type(op)]()

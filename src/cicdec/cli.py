@@ -219,22 +219,22 @@ def _tokens(text: str, fields: int):
     Lines must be `fields` tokens split by single spaces and ended by a
     newline; a token is 1 to 18 ASCII digits (exact in int64) after an
     optional ``-``, or a lone ``-`` of 0 digits.  All but the bytes are
-    (lines, `fields`) arrays.
+    (`fields`, lines) arrays, each column contiguous.
     """
     a = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)  # non-ASCII as "?"
     ends = np.flatnonzero(a <= ord(" "))  # spaces, newlines and control bytes
     if not text.endswith("\n") or ends.size % fields:
         return None
-    starts = np.concatenate(([0], ends[:-1] + 1)).reshape(-1, fields)
-    ends = ends.reshape(-1, fields)
+    starts, ends = (np.ascontiguousarray(x.reshape(-1, fields).T)
+                    for x in (np.concatenate(([0], ends[:-1] + 1)), ends))
     first = a[starts]  # an empty token's is its separator
     digits = ends - starts
     digits -= first == ord("-")  # (in place: a temporary costs 4x the subtraction)
     n_signs = np.count_nonzero(first == ord("-"))
     ok = (np.count_nonzero(a - ord("0") < 10) + n_signs + ends.size == a.size  # (wraps < "0")
           and first.min() > ord(" ") and digits.max() <= 18
-          and np.count_nonzero(a == ord("\n")) == len(ends)
-          and (a[ends[:, :-1]] == ord(" ")).all())  # so each line ends in its newline
+          and np.count_nonzero(a == ord("\n")) == ends.shape[1]
+          and (a[ends[:-1]] == ord(" ")).all())  # so each line ends in its newline
     return (a, ends, digits, first) if ok else None
 
 
@@ -376,24 +376,25 @@ def _parse_trace(lines, first_line: int = 1, first_cycle: int = 0,
 def _parse_trace_chunk(text: str) -> np.ndarray | None:
     """The cycles of `_read_chunks` text in one pass, or None.
 
-    An (n, 4) array of `nd din we ldin` columns, `-` as 0.  Takes only
-    `_tokens` lines whose flags are one of ``0 1 -`` and whose values are
-    a lone `-` after a low flag or else have digits, signed on din only.
-    The flags are read from their first bytes, din and ldin by
-    `_token_ints`.
+    An (n, 4) array of `nd din we ldin` columns, each contiguous, `-` as 0.
+    Takes only `_tokens` lines whose flags are one of ``0 1 -`` and whose
+    values are a lone `-` after a low flag or else have digits, signed on
+    din only.  Each column is checked and read on its own: the flags from their first
+    bytes, din and ldin by `_token_ints` at the column's own widest token.
     """
     if (tokens := _tokens(text, 4)) is None:
         return None
     a, ends, digits, first = tokens
-    flags, values = first[:, ::2], digits[:, 1::2]
-    if ((digits[:, ::2] != (flags != ord("-"))).any() or flags.max() > ord("1")
+    flags, values = first[::2], digits[1::2]
+    if ((digits[::2] != (flags != ord("-"))).any() or flags.max() > ord("1")
             or ((values == 0) & (flags == ord("1"))).any()
-            or ((first[:, 3] == ord("-")) & (values[:, 1] > 0)).any()):
+            or ((first[3] == ord("-")) & (values[1] > 0)).any()):
         return None
-    rows = np.zeros(first.shape, dtype=np.int64)
-    rows[:, ::2] = flags == ord("1")
-    rows[:, 1::2] = _token_ints(a, ends[:, 1::2], values, first[:, 1::2])
-    return rows
+    rows = np.empty(first.shape, dtype=np.int64)
+    rows[::2] = flags == ord("1")
+    for k in (1, 3):
+        rows[k] = _token_ints(a, ends[k], digits[k], first[k])
+    return rows.T
 
 
 @functools.cache  # built on the first response table or pin dump, then reused
@@ -513,17 +514,21 @@ def _format_pins(first: int, rdy: np.ndarray, dout: np.ndarray, rfd: np.ndarray)
 
     `dout` (int64 or Python ints) changes only on `rdy` cycles, as
     `ChipModel.run` gives it, so each value it holds is formatted once and
-    gathered by row.  Rows are laid out as in `_format_rows`, the cycle in
-    as many 4-digit groups as the last one needs (`_int_digits`).
+    copied to its rows as one fixed-width record, through a structured view
+    of the row buffer.  Rows are laid out as in `_format_rows`, the cycle in
+    as many 4-digit groups as the last one needs (`_int_digits`), and start
+    as copies of one row that holds the separators and flags of 0.
     """
     held = np.array([str(v) for v in [*dout[:1].tolist(), *dout[rdy].tolist()]], dtype=bytes)
     n, w = len(rdy), held.itemsize
     c = 4 * -(-len(str(max(first + n - 1, 0))) // 4)  # the last cycle's digits, in groups
-    buf = np.zeros((n, c + w + 6), dtype=np.uint8)
+    buf = np.tile(np.frombuffer(bytes(c) + b" 0 " + bytes(w) + b" 0\n", dtype=np.uint8), (n, 1))
     _int_digits(buf[:, :c], first + np.arange(n, dtype=np.int64))
-    buf[:, [c, c + 2, c + w + 3]], buf[:, -1] = ord(" "), ord("\n")
-    buf[:, c + 1], buf[:, c + w + 4] = rdy + ord("0"), rfd + ord("0")
-    buf[:, c + 3:c + 3 + w] = held.view(np.uint8).reshape(-1, w)[np.cumsum(rdy)]
+    buf[:, c + 1] += rdy
+    buf[:, c + w + 4] += rfd
+    record = np.dtype({"names": ["dout"], "formats": [held.dtype], "offsets": [c + 3],
+                       "itemsize": c + w + 6})
+    buf.view(record)["dout"][:, 0] = held[np.cumsum(rdy)]
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -638,7 +643,7 @@ def _cmd_chipsim(args) -> int:
     if sum(map(len, chunks)):
         # drain the pipeline so every in-flight output reaches dout
         chunks.append(np.zeros((chip.latency, 4), dtype=np.int64))
-    nd, din, we, ldin = np.concatenate(chunks).T
+    nd, din, we, ldin = np.concatenate([c.T for c in chunks], axis=1)
     rdy, dout, rfd = chip.run(nd, din, we, ldin)
     with _open_text(args.outfile, "w") as fh:
         for start in range(0, len(rdy), _ROWS_PER_WRITE):

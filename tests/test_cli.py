@@ -12,6 +12,7 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -985,6 +986,12 @@ FIRST_CYCLES = [0, 10**12 - 2, 2**63 - 4097]
 @given(first=st.sampled_from(FIRST_CYCLES),
        pins=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=40),
        wide=st.booleans(), data=st.data())
+# the dout record's width and offset: held texts of 1 and 22 characters in one
+# block, and a block whose cycle field widens from 12 digits to 13
+@example(first=0, pins=[(False, True), (True, False), (False, True)], wide=True,
+         data=SimpleNamespace(draw=lambda _: [0, -(2**70)]))
+@example(first=10**12 - 2, pins=[(False, True), (True, True), (False, False), (True, True)],
+         wide=False, data=SimpleNamespace(draw=lambda _: [-1, 2**63 - 1, -(2**63)]))
 def test_format_pins_matches_percent_formatting(first, pins, wide, data):
     rdy = np.array([r for r, _ in pins], dtype=bool)
     rfd = np.array([f for _, f in pins], dtype=bool)
@@ -1227,6 +1234,8 @@ TRACE_CHUNK = st.one_of(
 @example(text="1 5 0 -5\n")  # a signed ldin
 @example(text="0 - 0 -\n")  # no value token
 @example(text="- - - -\n0 - 0 -\n")
+@example(text="1 5 0\n- 1 5 0 -\n")  # lines of 3 and 5 tokens, 8 in all
+@example(text="1 5\t0 -\n")  # a tab separator
 def test_parse_trace_chunk_accepts_what_the_regex_accepts(text):
     rows = _parse_trace_chunk(text)
     assert (rows is not None) == (not _TRACE_LINE.sub("", text))
@@ -1248,6 +1257,10 @@ def test_parse_trace_chunk_accepts_what_the_regex_accepts(text):
 @example(cycles=[(True, "-999999999", True, "999999999")])
 @example(cycles=[(True, "-999999999", True, "0999999999")])
 @example(cycles=[(True, "-" + "9" * 18, True, "9" * 18), (True, "-0", True, "0" * 18)])
+# one value column wider than the other across a sum type's width
+@example(cycles=[(True, "-9", True, "99999")])
+@example(cycles=[(True, "-" + "9" * 18, True, "1")])
+@example(cycles=[(False, "1", True, "9" * 18)])
 def test_parse_trace_chunk_matches_the_line_parser_at_every_width(cycles):
     # a low flag's value is a lone `-`
     text = "".join(f"{int(nd)} {din if nd else '-'} {int(we)} {ldin if we else '-'}\n"
